@@ -31,12 +31,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BenchmarkMismatchError, GenerationError, ResourceLimitError
 from .model import Arc, Network, Query, ceil_div, path_stats
-from .paths import DEFAULT_MP_CAP, MpCatalog, enumerate_mps
+from .paths import MpCatalog, enumerate_mps
 from .solver import SolutionSet, solve_a1, solve_a2
 
 CAP_RANGE = (10, 50)
 LEAD_RANGE = (5, 10)
 COST_RANGE = (5, 20)
+
+#: Consecutive unusable draws after which generation gives up.
+MAX_REJECTS = 1000
+
+#: Sample count of each performance-profile curve.
+PROFILE_GRID_POINTS = 64
 
 #: Seed used once to draw the bundled Pan-European arc attributes.
 PAN_EUROPEAN_ATTR_SEED = 266
@@ -50,11 +56,6 @@ class GenConfig:
 
     n: int
     seed: int
-    cap_range: Tuple[int, int] = CAP_RANGE
-    lead_range: Tuple[int, int] = LEAD_RANGE
-    cost_range: Tuple[int, int] = COST_RANGE
-    mp_cap: int = DEFAULT_MP_CAP
-    max_rejects: int = 1000
 
     def __post_init__(self):
         if self.n < 4:
@@ -63,10 +64,6 @@ class GenConfig:
             raise ValueError("arc-count lower bound must be >= 1")
         if self.g < 0:
             raise ValueError(f"n = {self.n} pushes the arc-count spread below 0")
-        for name in ("cap_range", "lead_range", "cost_range"):
-            lo, hi = getattr(self, name)
-            if not 1 <= lo <= hi:
-                raise ValueError(f"{name} ({lo}, {hi}) is empty or nonpositive")
 
     @property
     def half(self) -> int:
@@ -79,10 +76,6 @@ class GenConfig:
     @property
     def g(self) -> int:
         return 25 - self.half
-
-    @property
-    def arc_count_range(self) -> Tuple[int, int]:
-        return (self.f, self.f + self.g)
 
 
 @dataclass(frozen=True)
@@ -159,9 +152,9 @@ def generate_instance(cfg: GenConfig) -> GeneratedInstance:
         endpoints = rng.sample(pairs, m)
         arcs = []
         for i, (tail, head) in enumerate(endpoints, 1):
-            max_cap = rng.randint(*cfg.cap_range)
-            lead = rng.randint(*cfg.lead_range)
-            cost = rng.randint(*cfg.cost_range)
+            max_cap = rng.randint(*CAP_RANGE)
+            lead = rng.randint(*LEAD_RANGE)
+            cost = rng.randint(*COST_RANGE)
             arcs.append(
                 Arc(
                     id=i,
@@ -175,7 +168,7 @@ def generate_instance(cfg: GenConfig) -> GeneratedInstance:
             )
         net = Network(n=cfg.n, arcs=tuple(arcs))
         try:
-            cat = enumerate_mps(net, cap=cfg.mp_cap)
+            cat = enumerate_mps(net)
         except ResourceLimitError:
             cat = MpCatalog(paths=())
         if cat.q >= 1:
@@ -187,9 +180,9 @@ def generate_instance(cfg: GenConfig) -> GeneratedInstance:
                 attempts=rejects + 1,
             )
         rejects += 1
-        if rejects >= cfg.max_rejects:
+        if rejects >= MAX_REJECTS:
             raise GenerationError(
-                f"{cfg.max_rejects} consecutive unusable networks for n={cfg.n}, seed={cfg.seed}"
+                f"{MAX_REJECTS} consecutive unusable networks for n={cfg.n}, seed={cfg.seed}"
             )
 
 
@@ -269,11 +262,10 @@ def pan_european_fixture(path: Optional[Path] = None) -> Network:
     return parse(text).network
 
 
-def demand_grid(cat: MpCatalog, width: int = 10) -> List[int]:
+def demand_grid(cat: MpCatalog) -> List[int]:
     """Demand sweep around the catalog-derived level: d*-5 .. d*+4."""
     d_star = ceil_div(sum(p.kp_max for p in cat), cat.q)
-    lo = d_star - width // 2
-    return [max(1, lo + i) for i in range(width)]
+    return [max(1, d_star - 5 + i) for i in range(10)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +362,7 @@ class ProfileData:
         return sum(1 for r in rs if r <= tau) / len(rs)
 
 
-def performance_profile(
-    times: Mapping[str, Mapping[str, float]], grid_points: int = 64
-) -> ProfileData:
+def performance_profile(times: Mapping[str, Mapping[str, float]]) -> ProfileData:
     """Cumulative distribution of each algorithm's time ratio to the best.
 
     ``times`` maps instance -> algorithm -> positive seconds; every instance
@@ -403,7 +393,7 @@ def performance_profile(
         grid = (1.0,)
     else:
         grid = tuple(
-            max_ratio ** (i / (grid_points - 1)) for i in range(grid_points)
+            max_ratio ** (i / (PROFILE_GRID_POINTS - 1)) for i in range(PROFILE_GRID_POINTS)
         )
     n_inst = len(instances)
     curves = {

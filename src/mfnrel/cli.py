@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage or parse problems, 3 a configured resource
-cap was hit, 4 an internal consistency check failed.
+Exit codes: 0 success, 2 usage, parse or file problems, 3 a configured
+resource cap was hit, 4 an internal consistency check failed or any other
+unexpected error (reported on one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import __version__
 from .bench import (
@@ -22,17 +23,8 @@ from .bench import (
     generate_instance,
     performance_profile,
     run_benchmark,
-    times_by_instance,
 )
-from .errors import (
-    BenchmarkMismatchError,
-    EmptyCatalogError,
-    GenerationError,
-    InvariantError,
-    ParseError,
-    ResourceLimitError,
-    ZeroCapacityError,
-)
+from .errors import GenerationError, ParseError, ResourceLimitError
 from .instance_io import parse_file, write_file
 from .model import Query
 from .paths import enumerate_mps
@@ -48,16 +40,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroCapacityError, EmptyCatalogError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (BenchmarkMismatchError, InvariantError) as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
@@ -245,17 +234,9 @@ def cmd_profile(args) -> int:
         rows = [row for row in reader if not row["instance"].startswith("#")]
     if not rows:
         raise ParseError(f"no timing rows in {args.times}")
-    times = times_by_instance(
-        [
-            BenchRecord(
-                instance=row["instance"],
-                algorithm=row["algorithm"],
-                seconds=float(row["seconds"]),
-                sigma=0, k=0, q=0,
-            )
-            for row in rows
-        ]
-    )
+    times: Dict[str, Dict[str, float]] = {}
+    for row in rows:
+        times.setdefault(row["instance"], {})[row["algorithm"]] = float(row["seconds"])
     prof = performance_profile(times)
     lines = ["algorithm,tau,pr"]
     for alg in prof.algorithms:

@@ -17,7 +17,6 @@ finite time, so monotonicity statements hold without special cases.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -35,13 +34,6 @@ PROB_SUM_TOL = 1e-9
 def ceil_div(a: int, b: int) -> int:
     """Exact integer ceil(a / b) for positive b."""
     return -(-a // b)
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ class Arc:
                 raise ValueError(
                     f"arc {self.id}: dist needs {self.max_cap + 1} entries, got {len(d)}"
                 )
-            if any(p < 0.0 or p > 1.0 for p in d):
+            if any(not 0.0 <= p <= 1.0 for p in d):
                 raise ValueError(f"arc {self.id}: probabilities must lie in [0, 1]")
             if abs(sum(d) - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"arc {self.id}: probabilities sum to {sum(d)!r}, not 1")
@@ -96,11 +88,11 @@ class Network:
     n: int
     arcs: Tuple[Arc, ...]
     source: int = 1
-    sink: int = -1  # -1 means "node n"
+    sink: Optional[int] = None  # None means node n
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        if self.sink == -1:
+        if self.sink is None:
             object.__setattr__(self, "sink", self.n)
         if self.n < 2:
             raise ValueError("network needs at least 2 nodes")
@@ -170,21 +162,6 @@ class Query:
         for name in ("d", "T", "b"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-
-
-def compare(x: Sequence[int], y: Sequence[int]) -> Comparison:
-    """Classify two state vectors under the componentwise partial order."""
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    le = all(a <= b for a, b in zip(x, y))
-    ge = all(a >= b for a, b in zip(x, y))
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LESS
-    if ge:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
 
 
 def arc_transmit(d: int, x: int, lead: int, unit_cost: int) -> Tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Minimal-path enumeration and catalog validation.
+"""Minimal-path enumeration.
 
 Every node-simple directed source->sink path is a minimal path (no proper
 arc subset of a simple path is itself a path), so enumeration is a
@@ -64,25 +64,27 @@ def enumerate_mps(net: Network, cap: int = DEFAULT_MP_CAP) -> MpCatalog:
     arc_stack: List[int] = []
     on_path = [False] * (net.n + 1)
     on_path[net.source] = True
-
-    def walk(node: int) -> None:
-        for a in out[node]:
+    # One iterator over the outgoing arcs of each node on the current path,
+    # so path length is bounded by memory rather than the recursion limit.
+    frames = [iter(out[net.source])]
+    while frames:
+        for a in frames[-1]:
             if a.head == net.sink:
-                arc_stack.append(a.id)
                 if len(found) >= cap:
                     raise ResourceLimitError(
                         f"more than {cap} minimal paths; raise the cap to continue"
                     )
-                found.append(path_stats(net, arc_stack))
-                arc_stack.pop()
+                found.append(path_stats(net, arc_stack + [a.id]))
             elif not on_path[a.head] and can_reach[a.head]:
                 on_path[a.head] = True
                 arc_stack.append(a.id)
-                walk(a.head)
-                arc_stack.pop()
-                on_path[a.head] = False
+                frames.append(iter(out[a.head]))
+                break
+        else:
+            frames.pop()
+            if arc_stack:
+                on_path[net.arcs[arc_stack.pop() - 1].head] = False
 
-    walk(net.source)
     return MpCatalog(paths=tuple(found))
 
 
@@ -100,63 +102,3 @@ def _reaches_sink(net: Network) -> List[bool]:
                 seen[u] = True
                 stack.append(u)
     return seen
-
-
-@dataclass(frozen=True)
-class CatalogReport:
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_catalog(net: Network, cat: MpCatalog) -> CatalogReport:
-    """Check a catalog against its network; reports problems, never raises.
-
-    Verifies, per path: arc ids exist, the arcs chain up into a source->sink
-    walk with no repeated node, and the cached sums match recomputation.
-    Across paths: no arc set contains another.
-    """
-    problems: List[str] = []
-    for idx, p in enumerate(cat, 1):
-        bad_ids = [i for i in p.arc_ids if not 1 <= i <= net.m]
-        if bad_ids:
-            problems.append(f"path {idx}: unknown arc ids {bad_ids}")
-            continue
-        fresh = path_stats(net, p.arc_ids)
-        if (fresh.lp, fresh.cp, fresh.kp_max) != (p.lp, p.cp, p.kp_max):
-            problems.append(
-                f"path {idx}: cached (lp,cp,kp_max)=({p.lp},{p.cp},{p.kp_max}) "
-                f"!= recomputed ({fresh.lp},{fresh.cp},{fresh.kp_max})"
-            )
-        err = _walk_error(net, p.arc_ids)
-        if err:
-            problems.append(f"path {idx}: {err}")
-    for i in range(len(cat)):
-        si = set(cat[i].arc_ids)
-        for j in range(len(cat)):
-            if i != j and si < set(cat[j].arc_ids):
-                problems.append(f"path {i + 1} is a proper subset of path {j + 1}")
-    return CatalogReport(violations=tuple(problems))
-
-
-def _walk_error(net: Network, arc_ids: Tuple[int, ...]) -> str:
-    """Empty string if the arc set chains source->sink visiting no node twice."""
-    pending = {i: net.arc(i) for i in arc_ids}
-    node = net.source
-    visited = {node}
-    while pending:
-        leaving = [i for i, a in pending.items() if a.tail == node]
-        if not leaving:
-            return f"no arc leaves node {node}; not a connected walk"
-        if len(leaving) > 1:
-            return f"arcs {sorted(leaving)} all leave node {node}; not a simple path"
-        a = pending.pop(leaving[0])
-        node = a.head
-        if node in visited:
-            return f"node {node} visited twice"
-        visited.add(node)
-    if node != net.sink:
-        return f"walk ends at node {node}, not the sink {net.sink}"
-    return ""

@@ -57,9 +57,6 @@ class TailTable:
     def m(self) -> int:
         return len(self.tails)
 
-    def max_caps(self) -> Tuple[int, ...]:
-        return tuple(len(row) - 2 for row in self.tails)
-
 
 def upset_prob(tails: TailTable, v: Sequence[int]) -> float:
     """Probability that the current state dominates v componentwise."""
@@ -183,11 +180,7 @@ def brute_force_reliability(
 
 
 def reliability(
-    net: Network,
-    cat: MpCatalog,
-    query: Query,
-    algorithm: str = "a1",
-    sigma_cap: int = DEFAULT_SIGMA_CAP,
+    net: Network, cat: MpCatalog, query: Query, algorithm: str = "a1"
 ) -> Tuple[float, SolutionSet]:
     """Solve for the minimal vectors and evaluate their union probability."""
     if algorithm == "a1":
@@ -199,4 +192,4 @@ def reliability(
     if sol.sigma == 0:
         return 0.0, sol
     tails = TailTable.from_network(net)
-    return union_prob_ie(tails, sol, cap=sigma_cap), sol
+    return union_prob_ie(tails, sol), sol

@@ -183,28 +183,3 @@ def _check_incomparable(cat: MpCatalog, indices: List[int], algorithm: str) -> N
                     f"{algorithm}: paths {indices[a]} and {indices[b]} have nested "
                     "arc sets; catalog is not a minimal-path catalog"
                 )
-
-
-def is_real_dtb(net: Network, cat: MpCatalog, query: Query, x: StateVector) -> bool:
-    """True when x is feasible and no single-coordinate decrement stays so.
-
-    Because feasibility is monotone in the state vector, checking the one-step
-    decrements suffices to certify minimality.
-    """
-    from .model import best_time  # local import to keep module deps one-way
-
-    if len(x) != net.m:
-        raise ValueError(f"vector length {len(x)} != arc count {net.m}")
-    for i, a in enumerate(net.arcs):
-        if not 0 <= x[i] <= a.max_cap:
-            raise ValueError(f"coordinate {i + 1} = {x[i]} outside 0..{a.max_cap}")
-    if cat.q == 0:
-        return False
-    if not best_time(query.d, x, cat, query.b) <= query.T:
-        return False
-    for i in range(net.m):
-        if x[i] > 0:
-            y = x[:i] + (x[i] - 1,) + x[i + 1 :]
-            if best_time(query.d, y, cat, query.b) <= query.T:
-                return False
-    return True

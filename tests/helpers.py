@@ -1,11 +1,12 @@
 """Shared builders for randomized tests: small networks the exhaustive
-oracle can chew through, and an independent path enumerator that searches
-node permutations instead of walking the graph."""
+oracle can chew through, an independent path enumerator that searches
+node permutations instead of walking the graph, and a minimality check
+that tests single-coordinate decrements instead of solving."""
 
 import itertools
 import random
 
-from mfnrel import Arc, MpCatalog, Network, Query
+from mfnrel import Arc, MpCatalog, Network, Query, best_time
 
 
 def random_dist(rng: random.Random, max_cap: int):
@@ -92,3 +93,26 @@ def arc_subset_connects(net: Network, arc_ids) -> bool:
                 seen.add(a.head)
                 frontier.append(a.head)
     return net.sink in seen
+
+
+def is_real_dtb(net: Network, cat: MpCatalog, query: Query, x) -> bool:
+    """True when x is feasible and no single-coordinate decrement stays so.
+
+    Because feasibility is monotone in the state vector, checking the one-step
+    decrements suffices to certify minimality.
+    """
+    if len(x) != net.m:
+        raise ValueError(f"vector length {len(x)} != arc count {net.m}")
+    for i, a in enumerate(net.arcs):
+        if not 0 <= x[i] <= a.max_cap:
+            raise ValueError(f"coordinate {i + 1} = {x[i]} outside 0..{a.max_cap}")
+    if cat.q == 0:
+        return False
+    if not best_time(query.d, x, cat, query.b) <= query.T:
+        return False
+    for i in range(net.m):
+        if x[i] > 0:
+            y = x[:i] + (x[i] - 1,) + x[i + 1 :]
+            if best_time(query.d, y, cat, query.b) <= query.T:
+                return False
+    return True

@@ -7,7 +7,9 @@ import mfnrel.bench as bench
 from mfnrel import (
     BenchmarkMismatchError,
     GenConfig,
+    GenerationError,
     Query,
+    ResourceLimitError,
     capacity_distribution,
     demand_grid,
     derive_query,
@@ -24,7 +26,7 @@ from mfnrel import (
 def test_genconfig_arc_bounds():
     cfg = GenConfig(n=11, seed=0)
     assert cfg.f == 15 and cfg.g == 19
-    assert cfg.arc_count_range == (15, 34)
+    assert (cfg.f, cfg.f + cfg.g) == (15, 34)
     cfg = GenConfig(n=30, seed=0)
     assert cfg.f == 42 and cfg.g == 10
 
@@ -34,8 +36,6 @@ def test_genconfig_validation():
         GenConfig(n=3, seed=0)
     with pytest.raises(ValueError):
         GenConfig(n=52, seed=0)
-    with pytest.raises(ValueError):
-        GenConfig(n=11, seed=0, lead_range=(5, 4))
 
 
 def test_capacity_distribution_shape():
@@ -195,9 +195,12 @@ def test_profile_input_validation():
         performance_profile({"i": {"a1": 1.0, "a2": 1.0}, "j": {"a1": 1.0}})
 
 
-def test_generation_failure():
-    # a zero path-count cap makes every draw unusable
-    cfg = GenConfig(n=11, seed=5, mp_cap=0, max_rejects=10)
-    with pytest.raises(Exception) as exc:
-        generate_instance(cfg)
-    assert "unusable" in str(exc.value)
+def test_generation_failure(monkeypatch):
+    # a path count over the cap makes every draw unusable
+    def over_cap(net):
+        raise ResourceLimitError("more than 0 minimal paths")
+
+    monkeypatch.setattr(bench, "enumerate_mps", over_cap)
+    monkeypatch.setattr(bench, "MAX_REJECTS", 10)
+    with pytest.raises(GenerationError, match="10 consecutive unusable"):
+        generate_instance(GenConfig(n=11, seed=5))

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from mfnrel import Arc, GenConfig, Network, generate_instance, parse_file, write
+import mfnrel.cli as cli
 from mfnrel.cli import main
 
 from helpers import random_dist
@@ -106,6 +107,29 @@ def test_rel_requires_probabilities(capsys, tmp_path):
     code, _, err = run(capsys, "rel", path, "--d", 1, "--T", 5, "--b", 5)
     assert code == 2
     assert "distribution" in err
+
+
+def test_rel_rejects_nan_probabilities(capsys, tmp_path):
+    path = tmp_path / "nan.net"
+    path.write_text("nodes 2\narc 1 1 2 1 1 1 nan nan\n", encoding="utf-8")
+    code, out, err = run(capsys, "rel", path, "--d", 1, "--T", 5, "--b", 5)
+    assert code == 2 and out == ""
+    assert "line 2" in err and "probabilities" in err
+
+
+def test_rel_on_directory_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "rel", tmp_path, "--d", 1, "--T", 5, "--b", 5)
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_unexpected_error_exit_code(capsys, monkeypatch, fig3_file):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_mps", boom)
+    code, _, err = run(capsys, "mps", fig3_file)
+    assert code == 4
+    assert err == "internal error: boom\n"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -71,6 +71,8 @@ def test_parse_errors_carry_line_numbers():
         parse("nodes x\n")
     with pytest.raises(ParseError, match="arc id"):
         parse("nodes 2\narc 1 1 2 1 1 1\nmp 7\n")
+    with pytest.raises(ParseError, match="sink -1 outside"):
+        parse("nodes 2\nsink -1\narc 1 1 2 1 1 1\n")
 
 
 def test_float_repr_roundtrips():

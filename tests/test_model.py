@@ -6,14 +6,12 @@ import pytest
 from mfnrel import (
     INFEASIBLE,
     Arc,
-    Comparison,
     EmptyCatalogError,
     Network,
     Query,
     ZeroCapacityError,
     arc_transmit,
     best_time,
-    compare,
     path_capacity,
     path_cost,
     path_stats,
@@ -21,40 +19,6 @@ from mfnrel import (
 )
 
 X_STAR = (3, 3, 4, 1, 2, 1, 2, 2)
-
-
-def test_compare_examples():
-    assert compare((2, 3, 1), (1, 3, 1)) is Comparison.GREATER
-    assert compare((1, 3, 1), (2, 2, 2)) is Comparison.INCOMPARABLE
-    assert compare((0, 0), (0, 0)) is Comparison.EQUAL
-    assert compare((1, 3, 1), (2, 3, 1)) is Comparison.LESS
-
-
-def test_compare_dimension_mismatch():
-    with pytest.raises(ValueError):
-        compare((1, 2), (1, 2, 3))
-
-
-def test_compare_partial_order_laws():
-    rng = random.Random(11)
-    vecs = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(60)]
-    for x in vecs:
-        assert compare(x, x) is Comparison.EQUAL
-    for x in vecs:
-        for y in vecs:
-            cxy, cyx = compare(x, y), compare(y, x)
-            if cxy is Comparison.LESS:
-                assert cyx is Comparison.GREATER
-            if cxy is Comparison.EQUAL:
-                assert x == y
-    for x in vecs[:20]:
-        for y in vecs[:20]:
-            for z in vecs[:20]:
-                if (
-                    compare(x, y) in (Comparison.LESS, Comparison.EQUAL)
-                    and compare(y, z) in (Comparison.LESS, Comparison.EQUAL)
-                ):
-                    assert compare(x, z) in (Comparison.LESS, Comparison.EQUAL)
 
 
 def test_arc_transmit_examples():
@@ -221,6 +185,8 @@ def test_arc_validation():
         Arc(id=1, tail=1, head=2, max_cap=2, lead=1, unit_cost=1, dist=(0.5, 0.5))
     with pytest.raises(ValueError):
         Arc(id=1, tail=1, head=2, max_cap=1, lead=1, unit_cost=1, dist=(0.7, 0.7))
+    with pytest.raises(ValueError):
+        Arc(id=1, tail=1, head=2, max_cap=1, lead=1, unit_cost=1, dist=(math.nan, math.nan))
 
 
 def test_network_validation():
@@ -231,5 +197,7 @@ def test_network_validation():
         Network(n=1, arcs=())
     with pytest.raises(ValueError):
         Network(n=2, arcs=(a1,), source=1, sink=1)
+    with pytest.raises(ValueError):
+        Network(n=2, arcs=(a1,), sink=-1)
     net = Network(n=2, arcs=(a1,))
     assert net.sink == 2 and net.m == 1 and net.state_space_size == 2

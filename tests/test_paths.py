@@ -2,16 +2,7 @@ import random
 
 import pytest
 
-from mfnrel import (
-    Arc,
-    MinimalPath,
-    MpCatalog,
-    Network,
-    ResourceLimitError,
-    enumerate_mps,
-    path_stats,
-    validate_catalog,
-)
+from mfnrel import Arc, Network, ResourceLimitError, enumerate_mps
 
 from helpers import arc_subset_connects, node_sequence_paths, small_random_network
 
@@ -99,42 +90,20 @@ def test_cap_aborts_enumeration():
     assert enumerate_mps(net).q == 64  # 2^(n-2) simple forward paths
 
 
-def test_validate_ok_on_enumerated(fig3_net):
-    report = validate_catalog(fig3_net, enumerate_mps(fig3_net))
-    assert report.ok and report.violations == ()
-
-
-def test_validate_flags_superset_member(fig3_net):
-    cat = MpCatalog(
-        paths=(
-            path_stats(fig3_net, [3, 8]),
-            path_stats(fig3_net, [1, 2, 3, 4, 8]),
-        )
+def test_long_chain_does_not_hit_recursion_limit():
+    n = 1500
+    arcs = tuple(
+        Arc(id=i, tail=i, head=i + 1, max_cap=1, lead=1, unit_cost=1) for i in range(1, n)
     )
-    report = validate_catalog(fig3_net, cat)
-    assert not report.ok
-    assert any("subset" in v for v in report.violations)
-
-
-def test_validate_flags_stale_cache(fig3_net):
-    good = path_stats(fig3_net, [1, 6])
-    bad = MinimalPath(arc_ids=good.arc_ids, lp=good.lp + 1, cp=good.cp, kp_max=good.kp_max)
-    report = validate_catalog(fig3_net, MpCatalog(paths=(bad,)))
-    assert any("recomputed" in v for v in report.violations)
-
-
-def test_validate_flags_disconnected_and_unknown(fig3_net):
-    report = validate_catalog(
-        fig3_net,
-        MpCatalog(paths=(path_stats(fig3_net, [1, 8]), MinimalPath((99,), 1, 1, 1))),
-    )
-    assert len(report.violations) >= 2
-    assert any("unknown arc ids" in v for v in report.violations)
+    cat = enumerate_mps(Network(n=n, arcs=arcs))
+    assert cat.q == 1
+    assert cat[0].arc_ids == tuple(range(1, n))
 
 
 def test_fig3_catalog_filler_paths_reported(fig3_net, fig3_cat):
-    # caches all check out; only the three placeholder supports fail the walk
-    report = validate_catalog(fig3_net, fig3_cat)
-    assert all("recomputed" not in v for v in report.violations)
-    assert all("subset" not in v for v in report.violations)
-    assert sorted(int(v.split()[1].rstrip(":")) for v in report.violations) == [4, 8, 9]
+    # only the three placeholder supports are missing from the drawn
+    # topology's paths, and no catalog member nests inside another
+    walkable = {p.arc_ids for p in enumerate_mps(fig3_net)}
+    assert [j for j, p in enumerate(fig3_cat, 1) if p.arc_ids not in walkable] == [4, 8, 9]
+    supports = [set(p.arc_ids) for p in fig3_cat]
+    assert not any(a < b for a in supports for b in supports)

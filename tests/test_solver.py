@@ -10,14 +10,13 @@ from mfnrel import (
     Query,
     brute_force_reliability,
     enumerate_mps,
-    is_real_dtb,
     min_feasible_capacity,
     path_stats,
     solve_a1,
     solve_a2,
 )
 
-from helpers import random_query, small_random_network
+from helpers import is_real_dtb, random_query, small_random_network
 
 QUERY = Query(d=10, T=8, b=50)
 
