@@ -26,11 +26,11 @@ import statistics
 import time
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BenchmarkMismatchError, GenerationError, ResourceLimitError
-from .model import Arc, Network, Query, ceil_div, path_stats
+from .instance_io import ParsedInstance, parse
+from .model import Arc, Network, Query, ceil_div
 from .paths import MpCatalog, enumerate_mps
 from .solver import SolutionSet, solve_a1, solve_a2
 
@@ -43,9 +43,6 @@ MAX_REJECTS = 1000
 
 #: Sample count of each performance-profile curve.
 PROFILE_GRID_POINTS = 64
-
-#: Seed used once to draw the bundled Pan-European arc attributes.
-PAN_EUROPEAN_ATTR_SEED = 266
 
 _SOLVERS = {"a1": solve_a1, "a2": solve_a2}
 
@@ -190,81 +187,28 @@ def generate_instance(cfg: GenConfig) -> GeneratedInstance:
 # Bundled fixtures
 
 
-@dataclass(frozen=True)
-class Fig3Fixture:
-    """The 5-node / 8-arc benchmark example at path granularity.
+def fig3_fixture() -> ParsedInstance:
+    """The 5-node / 8-arc worked example with its nine-path catalog pinned.
 
-    The catalog is given explicitly (it is input data, not derived): nine
-    paths whose lead-time, cost and capacity sums are the published ones.
-    Six of them are true paths of the bundled topology; the arc supports of
-    paths 4, 8 and 9 are placeholders that reproduce the per-path sums from
-    the per-arc data but do not chain up in the drawn topology, which cannot
-    realize all nine paths at once.
+    Parses the packaged ``fig3_mplevel.net``; its header says which paths
+    exist at catalog granularity only.
     """
-
-    network: Network
-    catalog: MpCatalog
+    return _packaged("fig3_mplevel.net")
 
 
-_FIG3_ARCS = (
-    # (tail, head, max_cap, lead, cost, dist ascending from capacity 0)
-    (1, 2, 5, 2, 1, (0.05, 0.05, 0.05, 0.05, 0.1, 0.7)),
-    (1, 3, 3, 2, 2, (0.05, 0.05, 0.1, 0.8)),
-    (1, 4, 4, 3, 2, (0.05, 0.05, 0.1, 0.1, 0.7)),
-    (2, 3, 3, 1, 1, (0.05, 0.05, 0.1, 0.8)),
-    (3, 4, 2, 2, 3, (0.05, 0.1, 0.85)),
-    (2, 5, 4, 2, 2, (0.05, 0.05, 0.1, 0.1, 0.7)),
-    (3, 5, 5, 3, 3, (0.05, 0.05, 0.05, 0.05, 0.1, 0.7)),
-    (4, 5, 3, 1, 4, (0.05, 0.05, 0.1, 0.8)),
-)
-
-_FIG3_MPS = (
-    (1, 6),
-    (1, 4, 7),
-    (1, 4, 5, 8),
-    (2, 4, 6),
-    (2, 7),
-    (2, 5, 8),
-    (3, 8),
-    (3, 5, 7),
-    (2, 3, 4, 5),
-)
+def pan_european_fixture() -> Network:
+    """The bundled 28-node / 40-arc continental backbone network, parsed
+    from the packaged ``pan_european.net``."""
+    return _packaged("pan_european.net").network
 
 
-def fig3_fixture() -> Fig3Fixture:
-    net = Network(
-        n=5,
-        arcs=tuple(
-            Arc(id=i, tail=t, head=h, max_cap=mc, lead=l, unit_cost=c, dist=dist)
-            for i, (t, h, mc, l, c, dist) in enumerate(_FIG3_ARCS, 1)
-        ),
-    )
-    cat = MpCatalog(paths=tuple(path_stats(net, ids) for ids in _FIG3_MPS))
-    return Fig3Fixture(network=net, catalog=cat)
-
-
-def pan_european_fixture(path: Optional[Path] = None) -> Network:
-    """The bundled 28-node / 40-arc continental backbone network.
-
-    Parses the packaged instance file (or an explicit ``path``). Arc
-    attributes were drawn once with seed ``PAN_EUROPEAN_ATTR_SEED`` over the
-    usual generator ranges and are frozen in the file.
-    """
-    from .instance_io import parse, parse_file
-
-    if path is not None:
-        return parse_file(path).network
-    ref = resources.files("mfnrel").joinpath("data/pan_european.net")
-    try:
-        text = ref.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise FileNotFoundError("bundled pan_european.net is missing") from exc
-    return parse(text).network
+def _packaged(name: str) -> ParsedInstance:
+    return parse(resources.files("mfnrel").joinpath(f"data/{name}").read_text(encoding="utf-8"))
 
 
 def demand_grid(cat: MpCatalog) -> List[int]:
     """Demand sweep around the catalog-derived level: d*-5 .. d*+4."""
-    d_star = ceil_div(sum(p.kp_max for p in cat), cat.q)
+    d_star = derive_query(cat).d
     return [max(1, d_star - 5 + i) for i in range(10)]
 
 
@@ -294,9 +238,13 @@ def run_benchmark(
     timed the algorithms' vector sets are compared; a mismatch aborts the
     whole benchmark, since timings of disagreeing solvers mean nothing.
     """
+    if not algorithms:
+        raise ValueError("no algorithms to benchmark")
     for alg in algorithms:
         if alg not in _SOLVERS:
             raise ValueError(f"unknown algorithm {alg!r}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     records: List[BenchRecord] = []
     for name, net, cat, query in items:
         warm: Dict[str, SolutionSet] = {
@@ -328,13 +276,6 @@ def run_benchmark(
                 )
             )
     return records
-
-
-def times_by_instance(records: Sequence[BenchRecord]) -> Dict[str, Dict[str, float]]:
-    out: Dict[str, Dict[str, float]] = {}
-    for r in records:
-        out.setdefault(r.instance, {})[r.algorithm] = r.seconds
-    return out
 
 
 # ---------------------------------------------------------------------------

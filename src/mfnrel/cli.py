@@ -226,17 +226,20 @@ def cmd_bench(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    times: Dict[str, Dict[str, float]] = {}
     with open(args.times, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         needed = {"instance", "algorithm", "seconds"}
         if not reader.fieldnames or not needed <= set(reader.fieldnames):
             raise ParseError(f"{args.times} lacks the columns {sorted(needed)}")
-        rows = [row for row in reader if not row["instance"].startswith("#")]
-    if not rows:
+        for row in reader:
+            if (row["instance"] or "").startswith("#"):
+                continue
+            if any(row[key] is None for key in needed):
+                raise ParseError(f"missing cell in {args.times}", reader.line_num)
+            times.setdefault(row["instance"], {})[row["algorithm"]] = float(row["seconds"])
+    if not times:
         raise ParseError(f"no timing rows in {args.times}")
-    times: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        times.setdefault(row["instance"], {})[row["algorithm"]] = float(row["seconds"])
     prof = performance_profile(times)
     lines = ["algorithm,tau,pr"]
     for alg in prof.algorithms:

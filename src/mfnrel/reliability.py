@@ -58,18 +58,6 @@ class TailTable:
         return len(self.tails)
 
 
-def upset_prob(tails: TailTable, v: Sequence[int]) -> float:
-    """Probability that the current state dominates v componentwise."""
-    if len(v) != tails.m:
-        raise ValueError(f"vector length {len(v)} != arc count {tails.m}")
-    p = 1.0
-    for i, row in enumerate(tails.tails):
-        if not 0 <= v[i] <= len(row) - 2:
-            raise ValueError(f"coordinate {i + 1} = {v[i]} outside 0..{len(row) - 2}")
-        p *= row[v[i]]
-    return p
-
-
 def _upset_terms(vectors: Sequence[StateVector]) -> Iterator[Tuple[int, StateVector]]:
     """Yield (sign, componentwise max) for every nonempty subset, in a fixed
     depth-first order; 2^len(vectors) - 1 terms in total."""
@@ -97,11 +85,21 @@ def union_prob_ie(tails: TailTable, vectors, cap: int = DEFAULT_SIGMA_CAP) -> fl
         raise ResourceLimitError(
             f"{len(vecs)} vectors would need 2^{len(vecs)}-1 union terms; cap is {cap}"
         )
+    rows = tails.tails
+    for v in vecs:
+        # every term is a componentwise max of checked vectors, so in range too
+        if len(v) != tails.m:
+            raise ValueError(f"vector length {len(v)} != arc count {tails.m}")
+        for i, (x, row) in enumerate(zip(v, rows)):
+            if not 0 <= x <= len(row) - 2:
+                raise ValueError(f"coordinate {i + 1} = {x} outside 0..{len(row) - 2}")
     total = 0.0
     comp = 0.0
     for sign, mv in _upset_terms(vecs):
-        term = sign * upset_prob(tails, mv)
-        y = term - comp
+        p = 1.0
+        for row, x in zip(rows, mv):
+            p *= row[x]
+        y = sign * p - comp
         t = total + y
         comp = (t - total) - y
         total = t

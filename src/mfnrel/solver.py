@@ -28,18 +28,19 @@ class SolutionSet:
     """Solver output: minimal feasible vectors plus diagnostic counters.
 
     ``vectors[r]`` originates from catalog path ``mp_indices[r]`` (1-based).
-    Counter semantics:
+    ``k`` counts ``surviving`` and ``sigma`` counts ``vectors``. Counter
+    semantics:
 
     * a1 - ``surviving`` is the index list J after the budget/lead-time
-      filter and ``k = len(J)``; ``removed_time`` counts paths cut for lead
-      time (including those that also break the budget), ``removed_cost``
-      paths cut for budget alone, ``removed_capacity`` paths in J whose
-      required capacity exceeds the path maximum.
+      filter; ``removed_time`` counts paths cut for lead time (including
+      those that also break the budget), ``removed_cost`` paths cut for
+      budget alone, ``removed_capacity`` paths in J whose required capacity
+      exceeds the path maximum.
     * a2 - ``surviving`` lists paths whose candidate vector was actually
-      built (deadline met within capacity) and ``k`` counts them;
-      ``removed_cost`` counts candidates discarded by the budget pass,
-      ``removed_time`` paths whose lead time makes the deadline unreachable,
-      ``removed_capacity`` paths needing more than the maximum capacity.
+      built (deadline met within capacity); ``removed_cost`` counts
+      candidates discarded by the budget pass, ``removed_time`` paths whose
+      lead time makes the deadline unreachable, ``removed_capacity`` paths
+      needing more than the maximum capacity.
     """
 
     algorithm: str
@@ -47,11 +48,17 @@ class SolutionSet:
     mp_indices: Tuple[int, ...]
     surviving: Tuple[int, ...]
     q: int
-    k: int
-    sigma: int
     removed_cost: int
     removed_time: int
     removed_capacity: int
+
+    @property
+    def k(self) -> int:
+        return len(self.surviving)
+
+    @property
+    def sigma(self) -> int:
+        return len(self.vectors)
 
     def vector_set(self) -> frozenset:
         return frozenset(self.vectors)
@@ -102,7 +109,7 @@ def solve_a1(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
     removed_capacity = 0
     for j in surviving:
         p = cat[j - 1]
-        alpha = ceil_div(d, T - p.lp)
+        alpha = min_feasible_capacity(d, T, p.lp)
         if alpha <= p.kp_max:
             vectors.append(_support_vector(net.m, p.arc_ids, alpha))
             indices.append(j)
@@ -116,8 +123,6 @@ def solve_a1(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
         mp_indices=tuple(indices),
         surviving=tuple(surviving),
         q=cat.q,
-        k=len(surviving),
-        sigma=len(vectors),
         removed_cost=removed_cost,
         removed_time=removed_time,
         removed_capacity=removed_capacity,
@@ -140,7 +145,7 @@ def solve_a2(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
         if p.lp >= T:
             removed_time += 1
             continue
-        v = ceil_div(d, T - p.lp)
+        v = min_feasible_capacity(d, T, p.lp)
         if v > p.kp_max:
             removed_capacity += 1
             continue
@@ -163,8 +168,6 @@ def solve_a2(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
         mp_indices=tuple(indices),
         surviving=tuple(j for j, _ in candidates),
         q=cat.q,
-        k=len(candidates),
-        sigma=len(vectors),
         removed_cost=removed_cost,
         removed_time=removed_time,
         removed_capacity=removed_capacity,

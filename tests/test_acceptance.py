@@ -29,7 +29,6 @@ from mfnrel import (
     run_benchmark,
     solve_a1,
     solve_a2,
-    times_by_instance,
     union_prob_ie,
 )
 from mfnrel.solver import min_feasible_capacity
@@ -292,7 +291,9 @@ def test_criterion_9_pan_european_and_timing(suite_1000):
 
     instances, _ = suite_1000
     items = [(inst.name, inst.network, inst.catalog, inst.query) for inst in instances]
-    by_inst = times_by_instance(run_benchmark(items, ("a1", "a2")))
+    by_inst = {}
+    for r in run_benchmark(items, ("a1", "a2")):
+        by_inst.setdefault(r.instance, {})[r.algorithm] = r.seconds
     totals = {"a1": 0.0, "a2": 0.0}
     for algs in by_inst.values():
         totals["a1"] += algs["a1"]

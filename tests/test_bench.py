@@ -19,7 +19,6 @@ from mfnrel import (
     performance_profile,
     run_benchmark,
     solve_a1,
-    times_by_instance,
 )
 
 
@@ -113,11 +112,6 @@ def test_pan_european_fixture_loads():
     assert grid == [d_star - 5 + i for i in range(10)]
 
 
-def test_pan_european_fixture_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        pan_european_fixture(tmp_path / "nope.net")
-
-
 def _items(count=3):
     out = []
     for s in range(count):
@@ -132,7 +126,7 @@ def test_run_benchmark_records():
     assert len(records) == 6
     for r in records:
         assert r.seconds > 0 and r.q >= 1 and r.sigma >= 0
-    by_inst = times_by_instance(records)
+    by_inst = {i: {r.algorithm: r.seconds for r in records if r.instance == i} for i, *_ in items}
     assert sorted(by_inst) == sorted(name for name, *_ in items)
     for d in by_inst.values():
         assert set(d) == {"a1", "a2"}
@@ -141,6 +135,10 @@ def test_run_benchmark_records():
 def test_run_benchmark_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         run_benchmark(_items(1), ("a1", "zz"))
+    with pytest.raises(ValueError, match="no algorithms"):
+        run_benchmark(_items(1), ())
+    with pytest.raises(ValueError, match="repeats"):
+        run_benchmark(_items(1), ("a1", "a2"), repeats=0)
 
 
 def test_run_benchmark_gate_aborts_on_disagreement(monkeypatch):

@@ -173,6 +173,10 @@ def test_bench_and_profile_pipeline(capsys, tmp_path):
     for s in (1, 2, 3):
         run(capsys, "gen", "--n", 12, "--seed", s, "--out", d / f"i{s}.net")
     times_csv = tmp_path / "times.csv"
+    code, _, err = run(capsys, "bench", "--dir", d, "--algorithms", ",")
+    assert code == 2 and "no algorithms" in err
+    code, _, err = run(capsys, "bench", "--dir", d, "--repeats", 0)
+    assert code == 2 and "repeats" in err
     code, _, _ = run(capsys, "bench", "--dir", d, "--repeats", 3, "--out", times_csv)
     assert code == 0
     lines = times_csv.read_text().splitlines()
@@ -222,6 +226,10 @@ def test_profile_missing_or_malformed_input(capsys, tmp_path):
     bad.write_text("foo,bar\n1,2\n", encoding="utf-8")
     code, _, err = run(capsys, "profile", "--times", bad)
     assert code == 2 and "columns" in err
+    short = tmp_path / "short.csv"
+    short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a1\n", encoding="utf-8")
+    code, _, err = run(capsys, "profile", "--times", short)
+    assert code == 2 and "line 3" in err and "missing cell" in err and "short.csv" in err
 
 
 def test_nested_catalog_exit_code(capsys, tmp_path):

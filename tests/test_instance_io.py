@@ -2,19 +2,11 @@ from importlib import resources
 
 import pytest
 
-from mfnrel import ParseError, fig3_fixture, parse, write
+from mfnrel import ParseError, parse, write
 
 
 def _data_text(name):
     return resources.files("mfnrel").joinpath(f"data/{name}").read_text(encoding="utf-8")
-
-
-def test_bundled_fig3_file_matches_fixture():
-    inst = parse(_data_text("fig3_mplevel.net"))
-    fx = fig3_fixture()
-    assert inst.network == fx.network
-    assert inst.catalog is not None
-    assert inst.catalog.paths == fx.catalog.paths
 
 
 def test_roundtrip_is_stable():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -15,7 +16,6 @@ from mfnrel import (
     reliability,
     solve_a1,
     union_prob_ie,
-    upset_prob,
 )
 from mfnrel.reliability import _upset_terms
 
@@ -42,27 +42,27 @@ def test_tail_table_needs_distributions():
         TailTable.from_network(net)
 
 
-def test_upset_prob_worked_example(fig3_net):
+def test_union_single_vector(fig3_net):
+    # one vector: the union is its upset, a product of per-arc tails
     tails = TailTable.from_network(fig3_net)
-    assert abs(upset_prob(tails, (3, 0, 0, 0, 0, 3, 0, 0)) - 0.68) <= 1e-12
-    assert upset_prob(tails, (0,) * 8) == 1.0
+    assert abs(union_prob_ie(tails, [(3, 0, 0, 0, 0, 3, 0, 0)]) - 0.68) <= 1e-12
+    assert union_prob_ie(tails, [(0,) * 8]) == 1.0
     direct = 1.0
     for a in fig3_net.arcs:
         direct *= a.dist[a.max_cap]
-    assert abs(upset_prob(tails, fig3_net.max_caps) - direct) <= 1e-12
+    assert abs(union_prob_ie(tails, [fig3_net.max_caps]) - direct) <= 1e-12
 
 
-def test_upset_prob_domain_error(fig3_net):
+def test_union_rejects_out_of_range_vectors(fig3_net):
     tails = TailTable.from_network(fig3_net)
-    with pytest.raises(ValueError):
-        upset_prob(tails, (6, 0, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        upset_prob(tails, (0, 0))
-
-
-def test_union_single_vector(fig3_net):
-    tails = TailTable.from_network(fig3_net)
-    assert abs(union_prob_ie(tails, [(3, 0, 0, 0, 0, 3, 0, 0)]) - 0.68) <= 1e-12
+    for vecs in (
+        [(6, 0, 0, 0, 0, 0, 0, 0)],
+        [(0, 0, 0, 0, 0, 0, 0, -1)],
+        [(0, 0)],
+        [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 3, 0, 0, 0)],
+    ):
+        with pytest.raises(ValueError):
+            union_prob_ie(tails, vecs)
 
 
 def test_union_duplicate_vectors_collapse(fig3_net):
@@ -105,7 +105,10 @@ def test_union_matches_independent_expansion(fig3_net):
         for r in range(1, sigma + 1):
             for combo in itertools.combinations(vecs, r):
                 mv = tuple(map(max, *combo)) if r > 1 else combo[0]
-                direct += (-1) ** (r + 1) * upset_prob(tails, mv)
+                term = 1.0
+                for a, x in zip(fig3_net.arcs, mv):
+                    term *= sum(a.dist[x:])
+                direct += (-1) ** (r + 1) * term
         assert abs(union_prob_ie(tails, vecs) - direct) <= 1e-12
 
 
@@ -154,6 +157,29 @@ def test_reliability_worked_example(fig3_net, fig3_cat):
     assert value == 0.0 and sol.sigma == 0
     with pytest.raises(ValueError):
         reliability(fig3_net, fig3_cat, QUERY, algorithm="a3")
+
+
+def test_reliability_looks_up_its_layers_at_call_time(monkeypatch, fig3_net, fig3_cat):
+    # an outside tracer swaps these names in the module to time each layer,
+    # so reliability() must not bind them early
+    rel = importlib.import_module("mfnrel.reliability")  # the package rebinds the name
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rel, "solve_a1", recording("solve_a1", rel.solve_a1))
+    monkeypatch.setattr(rel, "union_prob_ie", recording("union_prob_ie", rel.union_prob_ie))
+    monkeypatch.setattr(
+        rel.TailTable, "from_network",
+        classmethod(recording("from_network", rel.TailTable.from_network.__func__)),
+    )
+    value, _ = reliability(fig3_net, fig3_cat, QUERY)
+    assert abs(value - 0.68) <= 1e-12
+    assert calls == ["solve_a1", "from_network", "union_prob_ie"]
 
 
 def test_reliability_monotone_in_limits():
