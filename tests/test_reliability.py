@@ -42,7 +42,7 @@ def test_tail_table_needs_distributions():
         TailTable.from_network(net)
 
 
-def test_union_single_vector(fig3_net):
+def test_upset_prob_worked_example(fig3_net):
     # one vector: the union is its upset, a product of per-arc tails
     tails = TailTable.from_network(fig3_net)
     assert abs(union_prob_ie(tails, [(3, 0, 0, 0, 0, 3, 0, 0)]) - 0.68) <= 1e-12
@@ -51,6 +51,11 @@ def test_union_single_vector(fig3_net):
     for a in fig3_net.arcs:
         direct *= a.dist[a.max_cap]
     assert abs(union_prob_ie(tails, [fig3_net.max_caps]) - direct) <= 1e-12
+
+
+def test_union_single_vector(fig3_net):
+    tails = TailTable.from_network(fig3_net)
+    assert abs(union_prob_ie(tails, [(3, 0, 0, 0, 0, 3, 0, 0)]) - 0.68) <= 1e-12
 
 
 def test_union_rejects_out_of_range_vectors(fig3_net):
