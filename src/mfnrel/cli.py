@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import __version__
 from .bench import (
+    _SOLVERS,
     BenchRecord,
     GenConfig,
     derive_query,
@@ -29,10 +28,6 @@ from .instance_io import parse_file, write_file
 from .model import Query
 from .paths import enumerate_mps
 from .reliability import brute_force_reliability, reliability
-from .solver import solve_a1, solve_a2
-
-DEFAULT_SEED = 0
-SEED_ENV = "MFNREL_SEED"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -66,12 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="emit the minimal feasible vectors and counters")
     _query_flags(p)
-    p.add_argument("--algorithm", choices=("a1", "a2"), default="a1")
+    p.add_argument("--algorithm", choices=tuple(_SOLVERS), default="a1")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("rel", help="compute the exact reliability")
     _query_flags(p)
-    p.add_argument("--algorithm", choices=("a1", "a2"), default="a1")
     p.set_defaults(func=cmd_rel)
 
     p = sub.add_parser("oracle", help="brute-force reliability by full state enumeration")
@@ -80,17 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a random benchmark instance")
     p.add_argument("--n", type=int, required=True, help="node count (>= 4)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="time both algorithms over a directory of instances")
     p.add_argument("--dir", type=Path, required=True)
-    p.add_argument("--algorithms", default="a1,a2", help="comma-separated: a1,a2")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("profile", help="performance-profile curves from a bench CSV")
@@ -151,8 +141,7 @@ def _counter_lines(sol) -> List[str]:
 def cmd_solve(args) -> int:
     net, cat = _load(args.file)
     query = Query(d=args.d, T=args.T, b=args.b)
-    solver = solve_a1 if args.algorithm == "a1" else solve_a2
-    sol = solver(net, cat, query)
+    sol = _SOLVERS[args.algorithm](net, cat, query)
     lines = ["mp,vector"]
     for j, vec in zip(sol.mp_indices, sol.vectors):
         lines.append(f"{j},{_vector_cell(vec)}")
@@ -164,7 +153,7 @@ def cmd_solve(args) -> int:
 def cmd_rel(args) -> int:
     net, cat = _load(args.file)
     query = Query(d=args.d, T=args.T, b=args.b)
-    value, sol = reliability(net, cat, query, algorithm=args.algorithm)
+    value, sol = reliability(net, cat, query)
     lines = [f"{value:.12f}"] + _counter_lines(sol)
     _emit(args.out, lines)
     return 0
@@ -182,10 +171,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, DEFAULT_SEED))
-    inst = generate_instance(GenConfig(n=args.n, seed=seed))
+    inst = generate_instance(GenConfig(n=args.n, seed=args.seed))
     write_file(args.out, inst.network)
     q = inst.query
     print(
@@ -195,29 +181,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_one(path_str: str, algorithms: tuple, repeats: int) -> List[BenchRecord]:
-    path = Path(path_str)
-    net, cat = _load(path)
-    query = derive_query(cat)
-    return run_benchmark([(path.name, net, cat, query)], algorithms, repeats=repeats)
-
-
 def cmd_bench(args) -> int:
-    algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     files = sorted(p for p in args.dir.iterdir() if p.suffix == ".net")
     if not files:
         raise ParseError(f"no .net files under {args.dir}")
     records: List[BenchRecord] = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for recs in pool.map(
-                _bench_one, [str(f) for f in files],
-                [algorithms] * len(files), [args.repeats] * len(files),
-            ):
-                records.extend(recs)
-    else:
-        for f in files:
-            records.extend(_bench_one(str(f), algorithms, args.repeats))
+    for f in files:
+        net, cat = _load(f)
+        records.extend(run_benchmark([(f.name, net, cat, derive_query(cat))]))
     lines = ["instance,algorithm,seconds,sigma,k,q"]
     for r in records:
         lines.append(f"{r.instance},{r.algorithm},{r.seconds:.9f},{r.sigma},{r.k},{r.q}")
@@ -237,7 +208,14 @@ def cmd_profile(args) -> int:
                 continue
             if any(row[key] is None for key in needed):
                 raise ParseError(f"missing cell in {args.times}", reader.line_num)
-            times.setdefault(row["instance"], {})[row["algorithm"]] = float(row["seconds"])
+            try:
+                seconds = float(row["seconds"])
+            except ValueError:
+                raise ParseError(
+                    f"seconds cell {row['seconds']!r} is not a number in {args.times}",
+                    reader.line_num,
+                ) from None
+            times.setdefault(row["instance"], {})[row["algorithm"]] = seconds
     if not times:
         raise ParseError(f"no timing rows in {args.times}")
     prof = performance_profile(times)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .model import Network, Query, StateVector
 from .paths import MpCatalog
-from .solver import SolutionSet, solve_a1, solve_a2
+from .solver import SolutionSet, solve_a1
 
 DEFAULT_SIGMA_CAP = 30
 DEFAULT_STATE_CAP = 5_000_000
@@ -71,14 +71,16 @@ def _upset_terms(vectors: Sequence[StateVector]) -> Iterator[Tuple[int, StateVec
     yield from rec(0, None, +1)
 
 
-def union_prob_ie(tails: TailTable, vectors, cap: int = DEFAULT_SIGMA_CAP) -> float:
+def union_prob_ie(
+    tails: TailTable, vectors: Sequence[StateVector], cap: int = DEFAULT_SIGMA_CAP
+) -> float:
     """Exact union probability of the upsets of the given vectors.
 
-    Accepts a SolutionSet or any sequence of state vectors. Terms are summed
-    with Kahan compensation in a fixed order, so the result is reproducible
-    bit for bit. More than ``cap`` vectors (2^cap terms) is refused.
+    Terms are summed with Kahan compensation in a fixed order, so the result
+    is reproducible bit for bit. More than ``cap`` vectors (2^cap terms) is
+    refused.
     """
-    vecs = list(getattr(vectors, "vectors", vectors))
+    vecs = list(vectors)
     if not vecs:
         return 0.0
     if len(vecs) > cap:
@@ -177,17 +179,11 @@ def brute_force_reliability(
     return prob_sum, minimal
 
 
-def reliability(
-    net: Network, cat: MpCatalog, query: Query, algorithm: str = "a1"
-) -> Tuple[float, SolutionSet]:
-    """Solve for the minimal vectors and evaluate their union probability."""
-    if algorithm == "a1":
-        sol = solve_a1(net, cat, query)
-    elif algorithm == "a2":
-        sol = solve_a2(net, cat, query)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected 'a1' or 'a2'")
+def reliability(net: Network, cat: MpCatalog, query: Query) -> Tuple[float, SolutionSet]:
+    """Solve for the minimal vectors with ``solve_a1`` (``solve_a2`` builds
+    the same set) and evaluate their union probability."""
+    sol = solve_a1(net, cat, query)
     if sol.sigma == 0:
         return 0.0, sol
     tails = TailTable.from_network(net)
-    return union_prob_ie(tails, sol), sol
+    return union_prob_ie(tails, sol.vectors), sol

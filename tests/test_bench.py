@@ -122,7 +122,7 @@ def _items(count=3):
 
 def test_run_benchmark_records():
     items = _items()
-    records = run_benchmark(items, ("a1", "a2"), repeats=3)
+    records = run_benchmark(items)
     assert len(records) == 6
     for r in records:
         assert r.seconds > 0 and r.q >= 1 and r.sigma >= 0
@@ -130,15 +130,6 @@ def test_run_benchmark_records():
     assert sorted(by_inst) == sorted(name for name, *_ in items)
     for d in by_inst.values():
         assert set(d) == {"a1", "a2"}
-
-
-def test_run_benchmark_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        run_benchmark(_items(1), ("a1", "zz"))
-    with pytest.raises(ValueError, match="no algorithms"):
-        run_benchmark(_items(1), ())
-    with pytest.raises(ValueError, match="repeats"):
-        run_benchmark(_items(1), ("a1", "a2"), repeats=0)
 
 
 def test_run_benchmark_gate_aborts_on_disagreement(monkeypatch):
@@ -149,7 +140,7 @@ def test_run_benchmark_gate_aborts_on_disagreement(monkeypatch):
 
     monkeypatch.setitem(bench._SOLVERS, "a2", broken)
     with pytest.raises(BenchmarkMismatchError):
-        run_benchmark(_items(1), ("a1", "a2"), repeats=1)
+        run_benchmark(_items(1))
 
 
 def test_profile_two_instance_example():
@@ -187,8 +178,9 @@ def test_profile_input_validation():
         performance_profile({})
     with pytest.raises(ValueError):
         performance_profile({"i": {"a1": 1.0}})
-    with pytest.raises(ValueError):
-        performance_profile({"i": {"a1": 1.0, "a2": 0.0}})
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            performance_profile({"i": {"a1": 1.0, "a2": bad}})
     with pytest.raises(ValueError):
         performance_profile({"i": {"a1": 1.0, "a2": 1.0}, "j": {"a1": 1.0}})
 

@@ -50,6 +50,64 @@ def test_mps_lists_catalog(capsys, fig3_file):
     assert len(lines) == 10
 
 
+_FIG3_COUNTERS_A1 = """\
+# algorithm=a1
+# q=9
+# k=4
+# sigma=1
+# removed_cost=3
+# removed_time=2
+# removed_capacity=3
+"""
+
+FIG3_STDOUT = {
+    "mps": """\
+mp,arcs,lp,cp,kp_max
+1,1;6,4,3,4
+2,1;4;7,6,5,3
+3,1;4;5;8,6,9,2
+4,2;4;6,5,5,3
+5,2;7,5,5,3
+6,2;5;8,5,9,2
+7,3;8,4,6,3
+8,3;5;7,8,8,2
+9,2;3;4;5,8,8,2
+""",
+    "solve a1": "mp,vector\n1,3;0;0;0;0;3;0;0\n" + _FIG3_COUNTERS_A1,
+    "solve a2": """\
+mp,vector
+1,3;0;0;0;0;3;0;0
+# algorithm=a2
+# q=9
+# k=2
+# sigma=1
+# removed_cost=1
+# removed_time=2
+# removed_capacity=5
+""",
+    "rel": "0.680000000000\n" + _FIG3_COUNTERS_A1,
+    "oracle": """\
+0.680000000000
+vector
+3;0;0;0;0;3;0;0
+# states=172800
+""",
+}
+
+
+def test_default_stdout_pinned(capsys, fig3_file):
+    query = ["--d", 10, "--T", 8, "--b", 50]
+    argvs = {
+        "mps": ["mps", fig3_file],
+        "solve a1": ["solve", fig3_file, *query, "--algorithm", "a1"],
+        "solve a2": ["solve", fig3_file, *query, "--algorithm", "a2"],
+        "rel": ["rel", fig3_file, *query],
+        "oracle": ["oracle", fig3_file, *query],
+    }
+    for key, argv in argvs.items():
+        assert run(capsys, *argv) == (0, FIG3_STDOUT[key], ""), key
+
+
 def test_solve_worked_example(capsys, fig3_file):
     code, out, _ = run(capsys, "solve", fig3_file, "--d", 10, "--T", 8, "--b", 50)
     assert code == 0
@@ -152,19 +210,11 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0 and "wrote" in out
     net = parse_file(out_path).network
     assert net == generate_instance(GenConfig(n=11, seed=4)).network
-
-
-def test_gen_seed_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MFNREL_SEED", "123")
-    env_path = tmp_path / "env.net"
-    run(capsys, "gen", "--n", 11, "--out", env_path)
-    flag_path = tmp_path / "flag.net"
-    run(capsys, "gen", "--n", 11, "--seed", 123, "--out", flag_path)
-    assert env_path.read_text() == flag_path.read_text()
-    # an explicit flag wins over the environment
-    other_path = tmp_path / "other.net"
-    run(capsys, "gen", "--n", 11, "--seed", 5, "--out", other_path)
-    assert other_path.read_text() != env_path.read_text()
+    # the seed defaults to 0
+    default_path, zero_path = tmp_path / "default.net", tmp_path / "zero.net"
+    run(capsys, "gen", "--n", 11, "--out", default_path)
+    run(capsys, "gen", "--n", 11, "--seed", 0, "--out", zero_path)
+    assert default_path.read_text() == zero_path.read_text() != out_path.read_text()
 
 
 def test_bench_and_profile_pipeline(capsys, tmp_path):
@@ -173,15 +223,14 @@ def test_bench_and_profile_pipeline(capsys, tmp_path):
     for s in (1, 2, 3):
         run(capsys, "gen", "--n", 12, "--seed", s, "--out", d / f"i{s}.net")
     times_csv = tmp_path / "times.csv"
-    code, _, err = run(capsys, "bench", "--dir", d, "--algorithms", ",")
-    assert code == 2 and "no algorithms" in err
-    code, _, err = run(capsys, "bench", "--dir", d, "--repeats", 0)
-    assert code == 2 and "repeats" in err
-    code, _, _ = run(capsys, "bench", "--dir", d, "--repeats", 3, "--out", times_csv)
+    code, _, _ = run(capsys, "bench", "--dir", d, "--out", times_csv)
     assert code == 0
     lines = times_csv.read_text().splitlines()
     assert lines[0] == "instance,algorithm,seconds,sigma,k,q"
-    assert len(lines) == 1 + 3 * 2
+    # rows keep directory order, a1 before a2
+    assert [tuple(l.split(",")[:2]) for l in lines[1:]] == [
+        (f"i{s}.net", alg) for s in (1, 2, 3) for alg in ("a1", "a2")
+    ]
     code, out, _ = run(capsys, "profile", "--times", times_csv)
     assert code == 0
     rows = out.splitlines()
@@ -192,20 +241,6 @@ def test_bench_and_profile_pipeline(capsys, tmp_path):
         last_by_alg[alg] = float(pr)
     assert set(last_by_alg) == {"a1", "a2"}
     assert all(v == 1.0 for v in last_by_alg.values())
-
-
-def test_bench_parallel_jobs(capsys, tmp_path):
-    d = tmp_path / "suite"
-    d.mkdir()
-    for s in (1, 2):
-        run(capsys, "gen", "--n", 11, "--seed", s, "--out", d / f"i{s}.net")
-    out_csv = tmp_path / "times.csv"
-    code, _, _ = run(capsys, "bench", "--dir", d, "--jobs", 2, "--repeats", 2, "--out", out_csv)
-    assert code == 0
-    lines = out_csv.read_text().splitlines()
-    assert len(lines) == 1 + 2 * 2
-    # rows keep directory order even when workers race
-    assert [l.split(",")[0] for l in lines[1:]] == ["i1.net", "i1.net", "i2.net", "i2.net"]
 
 
 def test_bench_empty_dir(capsys, tmp_path):
@@ -230,6 +265,13 @@ def test_profile_missing_or_malformed_input(capsys, tmp_path):
     short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a1\n", encoding="utf-8")
     code, _, err = run(capsys, "profile", "--times", short)
     assert code == 2 and "line 3" in err and "missing cell" in err and "short.csv" in err
+    for cell in ("", "abc"):
+        short.write_text(f"instance,algorithm,seconds\ni1,a1,0.5\ni1,a2,{cell}\n", encoding="utf-8")
+        code, _, err = run(capsys, "profile", "--times", short)
+        assert code == 2 and "line 3" in err and "not a number" in err and "short.csv" in err
+    short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a2,inf\n", encoding="utf-8")
+    code, out, err = run(capsys, "profile", "--times", short)
+    assert code == 2 and out == "" and "not finite and positive" in err
 
 
 def test_nested_catalog_exit_code(capsys, tmp_path):

@@ -69,5 +69,5 @@ def test_oracle_ie_a1_and_a2_agree(net, data):
     query = Query(d=d, T=T, b=b)
     oracle_r, oracle_min = brute_force_reliability(net, cat, query)
     a1 = solve_a1(net, cat, query)
-    assert abs(union_prob_ie(TailTable.from_network(net), a1) - oracle_r) <= 1e-12
+    assert abs(union_prob_ie(TailTable.from_network(net), a1.vectors) - oracle_r) <= 1e-12
     assert frozenset(oracle_min) == a1.vector_set() == solve_a2(net, cat, query).vector_set()

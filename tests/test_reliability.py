@@ -125,7 +125,7 @@ def test_pipeline_matches_brute_force():
         q = random_query(rng, cat)
         oracle_r, _ = brute_force_reliability(net, cat, q)
         tails = TailTable.from_network(net)
-        ie_r = union_prob_ie(tails, solve_a1(net, cat, q))
+        ie_r = union_prob_ie(tails, solve_a1(net, cat, q).vectors)
         assert abs(ie_r - oracle_r) <= 1e-9
 
 
@@ -154,14 +154,11 @@ def test_brute_force_no_paths():
 
 
 def test_reliability_worked_example(fig3_net, fig3_cat):
-    for alg in ("a1", "a2"):
-        value, sol = reliability(fig3_net, fig3_cat, QUERY, algorithm=alg)
-        assert abs(value - 0.68) <= 1e-12
-        assert sol.sigma == 1
+    value, sol = reliability(fig3_net, fig3_cat, QUERY)
+    assert abs(value - 0.68) <= 1e-12
+    assert sol.algorithm == "a1" and sol.sigma == 1
     value, sol = reliability(fig3_net, fig3_cat, Query(d=10, T=3, b=50))
     assert value == 0.0 and sol.sigma == 0
-    with pytest.raises(ValueError):
-        reliability(fig3_net, fig3_cat, QUERY, algorithm="a3")
 
 
 def test_reliability_looks_up_its_layers_at_call_time(monkeypatch, fig3_net, fig3_cat):
@@ -214,6 +211,6 @@ def test_union_is_clamped_to_unit_interval():
         cat = enumerate_mps(net)
         sol = solve_a1(net, cat, random_query(rng, cat))
         tails = TailTable.from_network(net)
-        r = union_prob_ie(tails, sol)
+        r = union_prob_ie(tails, sol.vectors)
         assert 0.0 <= r <= 1.0
         assert math.isfinite(r)
