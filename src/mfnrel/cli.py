@@ -215,7 +215,10 @@ def cmd_profile(args) -> int:
                     f"seconds cell {row['seconds']!r} is not a number in {args.times}",
                     reader.line_num,
                 ) from None
-            times.setdefault(row["instance"], {})[row["algorithm"]] = seconds
+            inst, alg = row["instance"], row["algorithm"]
+            if alg in times.setdefault(inst, {}):
+                raise ParseError(f"repeated pair {inst},{alg} in {args.times}", reader.line_num)
+            times[inst][alg] = seconds
     if not times:
         raise ParseError(f"no timing rows in {args.times}")
     prof = performance_profile(times)

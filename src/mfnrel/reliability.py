@@ -14,8 +14,10 @@ route and is deliberately kept free of any shared logic with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,23 +36,18 @@ class TailTable:
     """Per-arc cumulative tails: tails[i][v] = Pr(capacity of arc i >= v).
 
     Each row has max_cap + 2 entries; the last one (v = max_cap + 1) is 0,
-    and row[0] is the full mass.
+    and row[0] is the full mass. An arc without a distribution has the row
+    None; only a vector that raises that arc needs one.
     """
 
-    tails: Tuple[Tuple[float, ...], ...]
+    tails: Tuple[Optional[Tuple[float, ...]], ...]
 
     @classmethod
     def from_network(cls, net: Network) -> "TailTable":
-        rows = []
-        for a in net.arcs:
-            if a.dist is None:
-                raise ValueError(f"arc {a.id} has no capacity distribution")
-            row = [0.0] * (a.max_cap + 2)
-            acc = 0.0
-            for v in range(a.max_cap, -1, -1):
-                acc = a.dist[v] + acc
-                row[v] = acc
-            rows.append(tuple(row))
+        rows = (
+            None if a.dist is None else tuple(accumulate(reversed(a.dist)))[::-1] + (0.0,)
+            for a in net.arcs
+        )
         return cls(tails=tuple(rows))
 
     @property
@@ -58,53 +55,63 @@ class TailTable:
         return len(self.tails)
 
 
-def _upset_terms(vectors: Sequence[StateVector]) -> Iterator[Tuple[int, StateVector]]:
-    """Yield (sign, componentwise max) for every nonempty subset, in a fixed
-    depth-first order; 2^len(vectors) - 1 terms in total."""
-
-    def rec(start, cur, sign):
-        for r in range(start, len(vectors)):
-            nxt = tuple(map(max, cur, vectors[r])) if cur is not None else vectors[r]
-            yield sign, nxt
-            yield from rec(r + 1, nxt, -sign)
-
-    yield from rec(0, None, +1)
-
-
 def union_prob_ie(
     tails: TailTable, vectors: Sequence[StateVector], cap: int = DEFAULT_SIGMA_CAP
 ) -> float:
     """Exact union probability of the upsets of the given vectors.
 
-    Terms are summed with Kahan compensation in a fixed order, so the result
-    is reproducible bit for bit. More than ``cap`` vectors (2^cap terms) is
-    refused.
+    Each inclusion-exclusion term, the componentwise maximum of a subset of
+    vectors, is kept as its support {arc: level}. The terms are summed in a
+    fixed order with Kahan compensation, so the result is reproducible bit
+    for bit. More than ``cap`` vectors is refused.
     """
-    vecs = list(vectors)
-    if not vecs:
-        return 0.0
-    if len(vecs) > cap:
-        raise ResourceLimitError(
-            f"{len(vecs)} vectors would need 2^{len(vecs)}-1 union terms; cap is {cap}"
-        )
     rows = tails.tails
-    for v in vecs:
-        # every term is a componentwise max of checked vectors, so in range too
+    supports = []
+    for v in vectors:
         if len(v) != tails.m:
             raise ValueError(f"vector length {len(v)} != arc count {tails.m}")
+        support = {}
         for i, (x, row) in enumerate(zip(v, rows)):
-            if not 0 <= x <= len(row) - 2:
+            if x == 0:
+                continue
+            if row is None:
+                raise ValueError(
+                    f"arc {i + 1} has no capacity distribution: "
+                    "its arc line has no probability block"
+                )
+            if not 0 < x <= len(row) - 2:
                 raise ValueError(f"coordinate {i + 1} = {x} outside 0..{len(row) - 2}")
-    total = 0.0
-    comp = 0.0
-    for sign, mv in _upset_terms(vecs):
-        p = 1.0
-        for row, x in zip(rows, mv):
-            p *= row[x]
+            support[i] = x
+        supports.append(support)
+    if len(supports) > cap:
+        raise ResourceLimitError(
+            f"{len(supports)} vectors would need 2^{len(supports)}-1 union terms; cap is {cap}"
+        )
+    # a term is base x tail/full mass on the arcs it raises, as a distribution
+    # sums to 1 only within 1e-9
+    base = math.prod(row[0] for row in rows if row is not None)
+    scaled = {i: [t / rows[i][0] for t in rows[i]] for s in supports for i in s}
+    # depth first: an entry (r, term, sign) stands for the subsets extending
+    # term's with vectors from r on; the one adding r, then its extensions
+    stack = [(0, {}, 1)]
+    total = comp = 0.0
+    while stack:
+        r, term, sign = stack.pop()
+        if r == len(supports):
+            continue
+        stack.append((r + 1, term, sign))
+        merged = dict(term)
+        for i, x in supports[r].items():
+            if x > merged.get(i, 0):
+                merged[i] = x
+        p = base
+        for i, x in merged.items():
+            p *= scaled[i][x]
         y = sign * p - comp
         t = total + y
         comp = (t - total) - y
         total = t
+        stack.append((r + 1, merged, -sign))
     return min(max(total, 0.0), 1.0)
 
 

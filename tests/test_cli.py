@@ -165,6 +165,12 @@ def test_rel_requires_probabilities(capsys, tmp_path):
     code, _, err = run(capsys, "rel", path, "--d", 1, "--T", 5, "--b", 5)
     assert code == 2
     assert "distribution" in err
+    # the packaged backbone has no probability blocks; its derived query has
+    # sigma = 32, over the union's term cap, and is still reported as bad input
+    pan = resources.files("mfnrel").joinpath("data/pan_european.net")
+    code, out, err = run(capsys, "rel", str(pan), "--d", 13, "--T", 80, "--b", 1595)
+    assert code == 2 and out == ""
+    assert err == "error: arc 1 has no capacity distribution: its arc line has no probability block\n"
 
 
 def test_rel_rejects_nan_probabilities(capsys, tmp_path):
@@ -272,6 +278,9 @@ def test_profile_missing_or_malformed_input(capsys, tmp_path):
     short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a2,inf\n", encoding="utf-8")
     code, out, err = run(capsys, "profile", "--times", short)
     assert code == 2 and out == "" and "not finite and positive" in err
+    short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a2,1.0\ni1,a1,2.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "profile", "--times", short)
+    assert code == 2 and out == "" and "line 4" in err and "repeated" in err and "short.csv" in err
 
 
 def test_nested_catalog_exit_code(capsys, tmp_path):

@@ -57,13 +57,19 @@ def networks(draw):
 @given(net=networks(), data=st.data())
 def test_oracle_ie_a1_and_a2_agree(net, data):
     cat = enumerate_mps(net)
-    d = data.draw(st.integers(1, 6), label="d")
     if cat.q:
         # limits just under, at and just over what one path needs at full capacity
         p = data.draw(st.sampled_from(cat.paths), label="path")
-        T = max(1, p.lp + math.ceil(d / max(p.kp_max, 1)) + data.draw(st.integers(-1, 1), label="dT"))
+        if data.draw(st.booleans(), label="d from T"):
+            # alpha lands under, at and over the path's top level
+            T = p.lp + data.draw(st.integers(1, 3), label="T - lp")
+            d = max(1, p.kp_max * (T - p.lp) + data.draw(st.integers(-1, 1), label="dd"))
+        else:
+            d = data.draw(st.integers(1, 6), label="d")
+            T = max(1, p.lp + math.ceil(d / max(p.kp_max, 1)) + data.draw(st.integers(-1, 1), label="dT"))
         b = max(1, d * p.cp + data.draw(st.integers(-1, 1), label="db"))
     else:
+        d = data.draw(st.integers(1, 6), label="d")
         T = data.draw(st.integers(1, 10), label="T")
         b = data.draw(st.integers(1, 30), label="b")
     query = Query(d=d, T=T, b=b)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -17,9 +18,8 @@ from mfnrel import (
     solve_a1,
     union_prob_ie,
 )
-from mfnrel.reliability import _upset_terms
 
-from helpers import random_query, small_random_network
+from helpers import random_dist, random_query, small_random_network
 
 QUERY = Query(d=10, T=8, b=50)
 
@@ -36,10 +36,40 @@ def test_tail_table_shape(fig3_net):
             assert abs((row[v] - row[v + 1]) - a.dist[v]) <= 1e-12
 
 
-def test_tail_table_needs_distributions():
-    net = Network(n=2, arcs=(Arc(id=1, tail=1, head=2, max_cap=2, lead=1, unit_cost=1),))
-    with pytest.raises(ValueError):
-        TailTable.from_network(net)
+def test_tail_table_needs_distributions(fig3_net, fig3_cat):
+    # only the arcs a vector raises need a distribution; (3,0,0,0,0,3,0,0)
+    # raises arcs 1 and 6
+    def with_dists(dists):
+        arcs = tuple(dataclasses.replace(a, dist=dists(a)) for a in fig3_net.arcs)
+        return Network(n=fig3_net.n, arcs=arcs, source=fig3_net.source, sink=fig3_net.sink)
+
+    bare = with_dists(lambda a: a.dist if a.id in (1, 6) else None)
+    value, _ = reliability(bare, fig3_cat, QUERY)
+    assert abs(value - 0.68) <= 1e-12
+    rng = random.Random(25)
+    for _ in range(5):
+        other = with_dists(lambda a: a.dist if a.id in (1, 6) else random_dist(rng, a.max_cap))
+        assert abs(reliability(other, fig3_cat, QUERY)[0] - value) <= 1e-12
+    tails = TailTable.from_network(bare)
+    assert tails.tails[1] is None
+    raises_arc_2 = (0, 1, 0, 0, 0, 0, 0, 0)
+    # bad input is reported before the term cap is checked
+    for cap in (30, 1):
+        with pytest.raises(ValueError, match="arc 2 has no capacity distribution: its arc line"):
+            union_prob_ie(tails, [raises_arc_2, (3, 0, 0, 0, 0, 3, 0, 0)], cap=cap)
+
+
+def test_union_keeps_full_mass_of_untouched_arcs(fig3_net, fig3_cat):
+    # distributions may sum to 1 - 5e-10; the arcs a term leaves at level 0
+    # still contribute that mass, which the oracle sums over every state
+    scale = 1 - 5e-10
+    arcs = tuple(dataclasses.replace(a, dist=tuple(p * scale for p in a.dist)) for a in fig3_net.arcs)
+    net = Network(n=fig3_net.n, arcs=arcs, source=fig3_net.source, sink=fig3_net.sink)
+    for query in (QUERY, Query(d=6, T=9, b=100), Query(d=12, T=12, b=100)):
+        oracle_r, _ = brute_force_reliability(net, fig3_cat, query)
+        value, sol = reliability(net, fig3_cat, query)
+        assert sol.sigma >= 1
+        assert abs(value - oracle_r) <= 1e-12
 
 
 def test_upset_prob_worked_example(fig3_net):
@@ -82,21 +112,6 @@ def test_union_empty_and_cap(fig3_net):
     vecs = [(1, 0, 0, 0, 0, 0, 0, 0)] * 5
     with pytest.raises(ResourceLimitError, match="cap is 4"):
         union_prob_ie(tails, vecs, cap=4)
-
-
-def test_subset_expansion_is_complete():
-    vecs = [(1, 0, 2), (0, 1, 1), (2, 2, 0), (1, 1, 1)]
-    terms = list(_upset_terms(vecs))
-    assert len(terms) == 2 ** len(vecs) - 1
-    expected = {}
-    for r in range(1, len(vecs) + 1):
-        for combo in itertools.combinations(range(len(vecs)), r):
-            mv = tuple(max(vecs[i][c] for i in combo) for c in range(3))
-            expected[mv] = expected.get(mv, 0) + (1 if r % 2 else -1)
-    got = {}
-    for sign, mv in terms:
-        got[mv] = got.get(mv, 0) + sign
-    assert got == expected
 
 
 def test_union_matches_independent_expansion(fig3_net):
