@@ -81,7 +81,14 @@ def parse(text: str) -> ParsedInstance:
                 raise ParseError(
                     f"arc {ident}: expected {max_cap + 1} probabilities, got {len(probs)}", lineno
                 )
-            dist = tuple(_float(v, "probability", lineno) for v in probs)
+            try:
+                dist = tuple(map(float, probs))
+            except ValueError:
+                for v in probs:  # name the first cell that is not a number
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ParseError(f"bad probability: {v!r}", lineno) from None
         try:
             arcs.append(
                 Arc(id=ident, tail=tail, head=head, max_cap=max_cap, lead=lead, unit_cost=cost, dist=dist)
@@ -133,10 +140,3 @@ def _int(value: str, name: str, lineno: int) -> int:
         return int(value)
     except ValueError:
         raise ParseError(f"bad integer for {name}: {value!r}", lineno) from None
-
-
-def _float(value: str, name: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"bad {name}: {value!r}", lineno) from None

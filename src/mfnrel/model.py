@@ -65,16 +65,17 @@ class Arc:
         if self.unit_cost < 1:
             raise ValueError(f"arc {self.id}: unit cost must be >= 1")
         if self.dist is not None:
-            d = tuple(float(p) for p in self.dist)
-            object.__setattr__(self, "dist", d)
-            if len(d) != self.max_cap + 1:
+            if len(self.dist) != self.max_cap + 1:
                 raise ValueError(
-                    f"arc {self.id}: dist needs {self.max_cap + 1} entries, got {len(d)}"
+                    f"arc {self.id}: dist needs {self.max_cap + 1} entries, got {len(self.dist)}"
                 )
-            if any(not 0.0 <= p <= 1.0 for p in d):
-                raise ValueError(f"arc {self.id}: probabilities must lie in [0, 1]")
-            if abs(sum(d) - 1.0) > PROB_SUM_TOL:
-                raise ValueError(f"arc {self.id}: probabilities sum to {sum(d)!r}, not 1")
+            total = 0.0
+            for p in self.dist:
+                if not 0.0 <= p <= 1.0:  # also false for NaN
+                    raise ValueError(f"arc {self.id}: probabilities must lie in [0, 1]")
+                total += p
+            if abs(total - 1.0) > PROB_SUM_TOL:
+                raise ValueError(f"arc {self.id}: probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,17 @@ def union_prob_ie(
 ) -> float:
     """Exact union probability of the upsets of the given vectors.
 
-    Each inclusion-exclusion term, the componentwise maximum of a subset of
-    vectors, is kept as its support {arc: level}. The terms are summed in a
-    fixed order with Kahan compensation, so the result is reproducible bit
-    for bit. More than ``cap`` vectors is refused.
+    Each vector raises one arc set to one level, as a minimal vector raises
+    one path to its alpha; two distinct nonzero levels are refused. Terms are
+    summed in a fixed order with Kahan compensation, so the result is
+    reproducible bit for bit. More than ``cap`` vectors is refused.
     """
-    rows = tails.tails
-    supports = []
+    reqs = []  # (level, [(arc bit, tail / full mass)]) per vector
     for v in vectors:
         if len(v) != tails.m:
             raise ValueError(f"vector length {len(v)} != arc count {tails.m}")
-        support = {}
-        for i, (x, row) in enumerate(zip(v, rows)):
+        factors = []
+        for i, (x, row) in enumerate(zip(v, tails.tails)):
             if x == 0:
                 continue
             if row is None:
@@ -81,37 +80,37 @@ def union_prob_ie(
                 )
             if not 0 < x <= len(row) - 2:
                 raise ValueError(f"coordinate {i + 1} = {x} outside 0..{len(row) - 2}")
-            support[i] = x
-        supports.append(support)
-    if len(supports) > cap:
+            factors.append((1 << i, row[x] / row[0]))
+        if len(set(v) - {0}) > 1:
+            raise ValueError(f"vector raises arcs to levels {sorted(set(v) - {0})}, not to one")
+        reqs.append((max(v, default=0), factors))
+    if len(reqs) > cap:
         raise ResourceLimitError(
-            f"{len(supports)} vectors would need 2^{len(supports)}-1 union terms; cap is {cap}"
+            f"{len(reqs)} vectors would need 2^{len(reqs)}-1 union terms; cap is {cap}"
         )
     # a term is base x tail/full mass on the arcs it raises, as a distribution
-    # sums to 1 only within 1e-9
-    base = math.prod(row[0] for row in rows if row is not None)
-    scaled = {i: [t / rows[i][0] for t in rows[i]] for s in supports for i in s}
-    # depth first: an entry (r, term, sign) stands for the subsets extending
-    # term's with vectors from r on; the one adding r, then its extensions
-    stack = [(0, {}, 1)]
+    # sums to 1 only within 1e-9. By falling level, a vector joining a term
+    # finds the arcs the term raises at least as high: only new ones count.
+    base = math.prod(row[0] for row in tails.tails if row is not None)
+    reqs.sort(key=lambda req: -req[0])
+    # depth first: an entry (r, mask, p, sign) stands for the subsets
+    # extending the term's with vectors from r on; the one adding r, then its extensions
+    stack = [(0, 0, base, 1)]
     total = comp = 0.0
     while stack:
-        r, term, sign = stack.pop()
-        if r == len(supports):
+        r, mask, p, sign = stack.pop()
+        if r == len(reqs):
             continue
-        stack.append((r + 1, term, sign))
-        merged = dict(term)
-        for i, x in supports[r].items():
-            if x > merged.get(i, 0):
-                merged[i] = x
-        p = base
-        for i, x in merged.items():
-            p *= scaled[i][x]
+        stack.append((r + 1, mask, p, sign))
+        for bit, f in reqs[r][1]:
+            if not mask & bit:
+                mask |= bit
+                p *= f
         y = sign * p - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        stack.append((r + 1, merged, -sign))
+        stack.append((r + 1, mask, p, -sign))
     return min(max(total, 0.0), 1.0)
 
 

@@ -55,6 +55,8 @@ def test_parse_errors_carry_line_numbers():
         parse("nodes 2\narc 1 1 2 2 1 1 0.5 0.5\n")
     with pytest.raises(ParseError, match="sum"):
         parse("nodes 2\narc 1 1 2 1 1 1 0.5 0.6\n")
+    with pytest.raises(ParseError, match="line 2: bad probability: '0.5x'$"):
+        parse("nodes 2\narc 1 1 2 2 1 1 0.5 0.5x 0\n")
     with pytest.raises(ParseError, match="missing 'nodes'"):
         parse("source 1\n")
     with pytest.raises(ParseError, match="duplicate"):

@@ -2,7 +2,8 @@
 inclusion-exclusion union and both solvers give the same answer.
 
 The networks cover what the seeded random suites rarely draw: parallel
-arcs, any source and sink, and capacity levels of zero or full mass.
+arcs, any source and sink, and capacity levels of zero or full mass. Most
+draws first chain source to sink, so most examples have a path to query.
 """
 
 import math
@@ -27,16 +28,24 @@ def networks(draw):
     n = draw(st.integers(2, 4))
     source = draw(st.integers(1, n))
     sink = draw(st.integers(1, n).filter(lambda v: v != source))
+    chain = []
+    if draw(st.integers(0, 3), label="chain"):  # most examples get a path to query
+        inner = draw(st.permutations([v for v in range(1, n + 1) if v not in (source, sink)]))
+        hops = (source, *inner[: draw(st.integers(0, len(inner)))], sink)
+        chain = list(zip(hops, hops[1:]))
     ends = []
     arcs = []
-    for i in range(1, draw(st.integers(1, 6)) + 1):
-        if ends and draw(st.booleans()):
+    for i in range(1, len(chain) + draw(st.integers(0 if chain else 1, 6 - len(chain))) + 1):
+        if i <= len(chain):
+            tail, head = chain[i - 1]
+        elif ends and draw(st.booleans()):
             tail, head = draw(st.sampled_from(ends))  # parallel to an earlier arc
         else:
             tail = draw(st.integers(1, n))
             head = draw(st.integers(1, n).filter(lambda v: v != tail))
         ends.append((tail, head))
-        max_cap = draw(st.integers(0, 3))
+        # a chain arc at capacity 0 would leave its path unable to carry any demand
+        max_cap = draw(st.integers(1 if i <= len(chain) else 0, 3))
         # zero weights give zero-mass levels; a single nonzero one, a point mass
         weights = draw(st.lists(st.integers(0, 3), min_size=max_cap + 1, max_size=max_cap + 1).filter(any))
         arcs.append(

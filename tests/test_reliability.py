@@ -79,13 +79,8 @@ def test_upset_prob_worked_example(fig3_net):
     assert union_prob_ie(tails, [(0,) * 8]) == 1.0
     direct = 1.0
     for a in fig3_net.arcs:
-        direct *= a.dist[a.max_cap]
-    assert abs(union_prob_ie(tails, [fig3_net.max_caps]) - direct) <= 1e-12
-
-
-def test_union_single_vector(fig3_net):
-    tails = TailTable.from_network(fig3_net)
-    assert abs(union_prob_ie(tails, [(3, 0, 0, 0, 0, 3, 0, 0)]) - 0.68) <= 1e-12
+        direct *= sum(a.dist[2:])
+    assert abs(union_prob_ie(tails, [(2,) * 8]) - direct) <= 1e-12
 
 
 def test_union_rejects_out_of_range_vectors(fig3_net):
@@ -95,6 +90,7 @@ def test_union_rejects_out_of_range_vectors(fig3_net):
         [(0, 0, 0, 0, 0, 0, 0, -1)],
         [(0, 0)],
         [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 3, 0, 0, 0)],
+        [(3, 0, 0, 0, 0, 3, 0, 0), (1, 0, 0, 0, 0, 2, 0, 0)],  # two levels in one vector
     ):
         with pytest.raises(ValueError):
             union_prob_ie(tails, vecs)
@@ -120,7 +116,11 @@ def test_union_matches_independent_expansion(fig3_net):
     caps = fig3_net.max_caps
     for _ in range(50):
         sigma = rng.randint(1, 5)
-        vecs = [tuple(rng.randint(0, c) for c in caps) for _ in range(sigma)]
+        # each vector raises a random arc subset to one level; levels repeat
+        vecs = []
+        for _ in range(sigma):
+            level = rng.randint(1, 3)
+            vecs.append(tuple(level if c >= level and rng.random() < 0.4 else 0 for c in caps))
         direct = 0.0
         for r in range(1, sigma + 1):
             for combo in itertools.combinations(vecs, r):
@@ -129,6 +129,8 @@ def test_union_matches_independent_expansion(fig3_net):
                 for a, x in zip(fig3_net.arcs, mv):
                     term *= sum(a.dist[x:])
                 direct += (-1) ** (r + 1) * term
+        assert abs(union_prob_ie(tails, vecs) - direct) <= 1e-12
+        rng.shuffle(vecs)
         assert abs(union_prob_ie(tails, vecs) - direct) <= 1e-12
 
 
