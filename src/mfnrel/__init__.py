@@ -5,26 +5,17 @@ __version__ = "0.1.0"
 
 from .errors import (
     BenchmarkMismatchError,
-    EmptyCatalogError,
     GenerationError,
-    InvariantError,
     ParseError,
     ResourceLimitError,
-    ZeroCapacityError,
 )
 from .model import (
-    INFEASIBLE,
     Arc,
     MinimalPath,
     Network,
     Query,
     StateVector,
-    arc_transmit,
-    best_time,
-    path_capacity,
-    path_cost,
     path_stats,
-    path_time,
 )
 from .paths import MpCatalog, enumerate_mps
 from .solver import SolutionSet, min_feasible_capacity, solve_a1, solve_a2
@@ -52,15 +43,12 @@ from .instance_io import ParsedInstance, parse, parse_file, write, write_file
 
 __all__ = [
     "__version__",
-    "INFEASIBLE",
     "Arc",
     "BenchRecord",
     "BenchmarkMismatchError",
-    "EmptyCatalogError",
     "GenConfig",
     "GeneratedInstance",
     "GenerationError",
-    "InvariantError",
     "MinimalPath",
     "MpCatalog",
     "Network",
@@ -72,9 +60,6 @@ __all__ = [
     "SolutionSet",
     "StateVector",
     "TailTable",
-    "ZeroCapacityError",
-    "arc_transmit",
-    "best_time",
     "brute_force_reliability",
     "capacity_distribution",
     "demand_grid",
@@ -86,10 +71,7 @@ __all__ = [
     "pan_european_fixture",
     "parse",
     "parse_file",
-    "path_capacity",
-    "path_cost",
     "path_stats",
-    "path_time",
     "performance_profile",
     "reliability",
     "run_benchmark",

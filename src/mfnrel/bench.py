@@ -271,8 +271,7 @@ class ProfileData:
 
     ``ratios[alg][i]`` is the time of ``alg`` on instance i divided by the
     best time on that instance (ties give 1 to every winner). ``curves``
-    samples each distribution on ``tau_grid``; ``value`` evaluates it
-    exactly at any tau.
+    samples each distribution on ``tau_grid``.
     """
 
     algorithms: Tuple[str, ...]
@@ -280,10 +279,6 @@ class ProfileData:
     ratios: Mapping[str, Tuple[float, ...]]
     tau_grid: Tuple[float, ...]
     curves: Mapping[str, Tuple[float, ...]]
-
-    def value(self, algorithm: str, tau: float) -> float:
-        rs = self.ratios[algorithm]
-        return sum(1 for r in rs if r <= tau) / len(rs)
 
 
 def performance_profile(times: Mapping[str, Mapping[str, float]]) -> ProfileData:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage, parse or file problems, 3 a configured
-resource cap was hit, 4 an internal consistency check failed or any other
-unexpected error (reported on one line, without a traceback).
+resource cap was hit, 4 any unexpected error (reported on one line, without
+a traceback).
 """
 
 from __future__ import annotations

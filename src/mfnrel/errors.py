@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ZeroCapacityError(ValueError):
-    """Transmission over an arc whose current capacity is zero."""
-
-
-class EmptyCatalogError(ValueError):
-    """An operation that needs at least one source->sink path got none."""
-
-
 class ResourceLimitError(RuntimeError):
     """A configured hard cap (path count, state space, union terms) was hit."""
 
@@ -29,7 +21,3 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class InvariantError(RuntimeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""

@@ -11,7 +11,8 @@ Arc ids must be contiguous from 1. The probability block is optional per
 arc; reliability commands refuse files that omit it. ``mp`` lines are
 optional and pin an explicit path catalog (one line per path, in order)
 instead of leaving enumeration to the reader; the bundled worked-example
-fixture needs this, since its catalog is given data.
+fixture needs this, since its catalog is given data. No ``mp`` path may
+repeat another's arc set or contain it, in any order.
 
 Writing is canonical: fixed key order, single spaces, floats in shortest
 round-trip form. parse(write(x)) reproduces x exactly, and write(parse(s))
@@ -104,12 +105,27 @@ def parse(text: str) -> ParsedInstance:
     catalog = None
     if mp_rows:
         paths = []
+        supports: List[Tuple[int, frozenset]] = []
         for lineno, fields in mp_rows:
             ids = [_int(v, "arc id", lineno) for v in fields]
             try:
-                paths.append(path_stats(net, ids))
+                path = path_stats(net, ids)
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), lineno) from exc
+            # No minimal path contains another; the solvers take that on
+            # trust, so their vectors come out pairwise incomparable.
+            # Enumerated catalogs hold it by construction; a pinned one is
+            # checked here, once.
+            support = frozenset(path.arc_ids)
+            for earlier, other in supports:
+                if support <= other or other <= support:
+                    raise ParseError(
+                        f"mp path repeats or nests with the mp path on line {earlier}; "
+                        "no minimal path contains another",
+                        lineno,
+                    )
+            supports.append((lineno, support))
+            paths.append(path)
         catalog = MpCatalog(paths=tuple(paths))
     return ParsedInstance(network=net, catalog=catalog)
 

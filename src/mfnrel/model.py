@@ -1,5 +1,5 @@
-"""Core network model: arcs with random integer capacities, state vectors,
-minimal paths, and the elementary transmission-time/cost formulas.
+"""Core network model: arcs with random integer capacities, state vectors
+and minimal paths.
 
 A network is a directed multigraph. Every arc has a fixed lead time (latency
 before the first unit arrives), a fixed per-unit transmission cost, and a
@@ -10,23 +10,14 @@ Path-level quantities follow: lead times and unit costs add up along a path,
 capacity is the bottleneck (minimum) over its arcs.
 
 State vectors are plain tuples of ints, one entry per arc, ordered by arc id.
-An infeasible transmission (zero path capacity, or no path within budget) is
-reported as ``INFEASIBLE`` (= ``math.inf``), which compares above every
-finite time, so monotonicity statements hold without special cases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
-
-from .errors import EmptyCatalogError, ZeroCapacityError
+from typing import Iterable, Optional, Tuple
 
 StateVector = Tuple[int, ...]
-
-#: Marker for "cannot be transmitted"; orders above every finite time.
-INFEASIBLE = math.inf
 
 PROB_SUM_TOL = 1e-9
 
@@ -114,10 +105,6 @@ class Network:
         return len(self.arcs)
 
     @property
-    def max_caps(self) -> StateVector:
-        return tuple(a.max_cap for a in self.arcs)
-
-    @property
     def state_space_size(self) -> int:
         size = 1
         for a in self.arcs:
@@ -165,17 +152,6 @@ class Query:
                 raise ValueError(f"{name} must be a positive integer")
 
 
-def arc_transmit(d: int, x: int, lead: int, unit_cost: int) -> Tuple[int, int]:
-    """Time and cost of pushing d units through one arc at capacity x."""
-    if d < 1:
-        raise ValueError("demand must be >= 1")
-    if x < 0:
-        raise ValueError("capacity must be >= 0")
-    if x == 0:
-        raise ZeroCapacityError("arc capacity is 0; transmission impossible")
-    return lead + ceil_div(d, x), d * unit_cost
-
-
 def path_stats(net: Network, arc_ids: Iterable[int]) -> MinimalPath:
     """Build a MinimalPath for the given arc-id set, computing its caches."""
     ids = sorted(arc_ids)
@@ -190,45 +166,3 @@ def path_stats(net: Network, arc_ids: Iterable[int]) -> MinimalPath:
         cp=sum(a.unit_cost for a in arcs),
         kp_max=min(a.max_cap for a in arcs),
     )
-
-
-def path_capacity(x: Sequence[int], path: MinimalPath) -> int:
-    """Bottleneck capacity of the path under state vector x."""
-    return min(x[i - 1] for i in path.arc_ids)
-
-
-def path_time(d: int, x: Sequence[int], path: MinimalPath):
-    """Time to send d units over one path under state x; INFEASIBLE if blocked."""
-    if d < 1:
-        raise ValueError("demand must be >= 1")
-    cap = path_capacity(x, path)
-    if cap == 0:
-        return INFEASIBLE
-    return path.lp + ceil_div(d, cap)
-
-
-def path_cost(d: int, path: MinimalPath) -> int:
-    """Cost of sending d units over the path (capacity independent)."""
-    if d < 1:
-        raise ValueError("demand must be >= 1")
-    return d * path.cp
-
-
-def best_time(d: int, x: Sequence[int], paths, budget: int):
-    """Fastest budget-affordable single-path transmission time under state x.
-
-    ``paths`` must be the complete minimal-path collection of the network
-    (anything iterable over MinimalPath). Returns INFEASIBLE when no path is
-    affordable or every affordable path has zero capacity under x.
-    """
-    items = list(paths)
-    if not items:
-        raise EmptyCatalogError("network has no source->sink path")
-    best = INFEASIBLE
-    for p in items:
-        if d * p.cp > budget:
-            continue
-        t = path_time(d, x, p)
-        if t < best:
-            best = t
-    return best

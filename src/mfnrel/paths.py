@@ -9,10 +9,10 @@ minimal paths over the same node sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .errors import ResourceLimitError
-from .model import MinimalPath, Network, path_stats
+from .model import Arc, MinimalPath, Network, path_stats
 
 DEFAULT_MP_CAP = 100_000
 
@@ -48,22 +48,21 @@ def enumerate_mps(net: Network, cap: int = DEFAULT_MP_CAP) -> MpCatalog:
     Raises ResourceLimitError when more than ``cap`` paths exist. A network
     with no source->sink path yields an empty catalog.
     """
-    out = {v: [] for v in range(1, net.n + 1)}
+    # Keyed by the nodes that arcs touch, so the cost is O(m) whatever n is.
+    # Network keeps arcs in id order, so each list is in ascending arc id.
+    out: Dict[int, List[Arc]] = {}
     for a in net.arcs:
-        out[a.tail].append(a)
-    # arcs ids are already in order per Network invariant, but be explicit
-    for lst in out.values():
-        lst.sort(key=lambda a: a.id)
+        out.setdefault(a.tail, []).append(a)
 
     # Skip nodes that cannot reach the sink; they cannot lie on any path.
+    # Each node that can, other than the sink, has an outgoing arc in out.
     can_reach = _reaches_sink(net)
-    if not can_reach[net.source]:
+    if net.source not in can_reach:
         return MpCatalog(paths=())
 
     found: List[MinimalPath] = []
     arc_stack: List[int] = []
-    on_path = [False] * (net.n + 1)
-    on_path[net.source] = True
+    on_path = {net.source}
     # One iterator over the outgoing arcs of each node on the current path,
     # so path length is bounded by memory rather than the recursion limit.
     frames = [iter(out[net.source])]
@@ -75,30 +74,28 @@ def enumerate_mps(net: Network, cap: int = DEFAULT_MP_CAP) -> MpCatalog:
                         f"more than {cap} minimal paths; raise the cap to continue"
                     )
                 found.append(path_stats(net, arc_stack + [a.id]))
-            elif not on_path[a.head] and can_reach[a.head]:
-                on_path[a.head] = True
+            elif a.head not in on_path and a.head in can_reach:
+                on_path.add(a.head)
                 arc_stack.append(a.id)
                 frames.append(iter(out[a.head]))
                 break
         else:
             frames.pop()
             if arc_stack:
-                on_path[net.arcs[arc_stack.pop() - 1].head] = False
+                on_path.remove(net.arcs[arc_stack.pop() - 1].head)
 
     return MpCatalog(paths=tuple(found))
 
 
-def _reaches_sink(net: Network) -> List[bool]:
-    into = {v: [] for v in range(1, net.n + 1)}
+def _reaches_sink(net: Network) -> Set[int]:
+    into: Dict[int, List[int]] = {}
     for a in net.arcs:
-        into[a.head].append(a.tail)
-    seen = [False] * (net.n + 1)
-    seen[net.sink] = True
+        into.setdefault(a.head, []).append(a.tail)
+    seen = {net.sink}
     stack = [net.sink]
     while stack:
-        v = stack.pop()
-        for u in into[v]:
-            if not seen[u]:
-                seen[u] = True
+        for u in into.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
                 stack.append(u)
     return seen

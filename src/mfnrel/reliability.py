@@ -139,6 +139,12 @@ def brute_force_reliability(
     dists = [np.asarray(a.dist, dtype=np.float64) for a in net.arcs]
 
     affordable = [p for p in cat if query.d * p.cp <= query.b]
+    # meets[c]: the path's time lp + ceil(d / c) at bottleneck capacity c is
+    # within T. Python ints keep it exact for any d, T and lead time.
+    meets = [
+        np.array([c > 0 and p.lp + (query.d + c - 1) // c <= query.T for c in range(p.kp_max + 1)])
+        for p in affordable
+    ]
 
     def caps_block(lo: int, hi: int) -> np.ndarray:
         idx = np.arange(lo, hi, dtype=np.int64)
@@ -149,21 +155,12 @@ def brute_force_reliability(
     for lo in range(0, total_states, _ORACLE_CHUNK):
         hi = min(lo + _ORACLE_CHUNK, total_states)
         caps = caps_block(lo, hi)
-        if affordable:
-            best = np.full(hi - lo, np.inf)
-            for p in affordable:
-                pc = caps[p.arc_ids[0] - 1]
-                for i in p.arc_ids[1:]:
-                    pc = np.minimum(pc, caps[i - 1])
-                t = np.where(
-                    pc > 0,
-                    p.lp + (query.d + pc - 1) // np.maximum(pc, 1),
-                    np.inf,
-                )
-                best = np.minimum(best, t)
-            ok = best <= query.T
-        else:
-            ok = np.zeros(hi - lo, dtype=bool)
+        ok = np.zeros(hi - lo, dtype=bool)
+        for p, path_meets in zip(affordable, meets):
+            pc = caps[p.arc_ids[0] - 1]
+            for i in p.arc_ids[1:]:
+                pc = np.minimum(pc, caps[i - 1])
+            ok |= path_meets[pc]
         feasible[lo:hi] = ok
         if ok.any():
             prob = np.ones(hi - lo)

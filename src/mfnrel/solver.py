@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import InvariantError
 from .model import Network, Query, StateVector, ceil_div
 from .paths import MpCatalog
 
@@ -116,7 +115,6 @@ def solve_a1(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
         else:
             removed_capacity += 1
 
-    _check_incomparable(cat, indices, "a1")
     return SolutionSet(
         algorithm="a1",
         vectors=tuple(vectors),
@@ -161,7 +159,6 @@ def solve_a2(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
             vectors.append(vec)
             indices.append(j)
 
-    _check_incomparable(cat, indices, "a2")
     return SolutionSet(
         algorithm="a2",
         vectors=tuple(vectors),
@@ -173,16 +170,3 @@ def solve_a2(net: Network, cat: MpCatalog, query: Query) -> SolutionSet:
         removed_capacity=removed_capacity,
     )
 
-
-def _check_incomparable(cat: MpCatalog, indices: List[int], algorithm: str) -> None:
-    # Distinct minimal paths never contain one another, so the emitted
-    # vectors must be pairwise incomparable; a violation means the catalog
-    # was not a minimal-path catalog.
-    supports = [frozenset(cat[j - 1].arc_ids) for j in indices]
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            if supports[a] <= supports[b] or supports[b] <= supports[a]:
-                raise InvariantError(
-                    f"{algorithm}: paths {indices[a]} and {indices[b]} have nested "
-                    "arc sets; catalog is not a minimal-path catalog"
-                )

@@ -1,12 +1,91 @@
 """Shared builders for randomized tests: small networks the exhaustive
 oracle can chew through, an independent path enumerator that searches
-node permutations instead of walking the graph, and a minimality check
-that tests single-coordinate decrements instead of solving."""
+node permutations instead of walking the graph, a minimality check
+that tests single-coordinate decrements instead of solving, and the
+scalar transmission formulas that the tests compare the solver against."""
 
 import itertools
+import math
 import random
+from typing import Sequence, Tuple
 
-from mfnrel import Arc, MpCatalog, Network, Query, best_time
+from mfnrel import Arc, MinimalPath, MpCatalog, Network, ProfileData, Query, StateVector
+from mfnrel.model import ceil_div
+
+#: Marker for "cannot be transmitted"; orders above every finite time, so
+#: monotonicity statements hold without special cases.
+INFEASIBLE = math.inf
+
+
+class ZeroCapacityError(ValueError):
+    """Transmission over an arc whose current capacity is zero."""
+
+
+class EmptyCatalogError(ValueError):
+    """An operation that needs at least one source->sink path got none."""
+
+
+def max_caps(net: Network) -> StateVector:
+    return tuple(a.max_cap for a in net.arcs)
+
+
+def profile_value(prof: ProfileData, algorithm: str, tau: float) -> float:
+    """The profile curve of ``algorithm`` evaluated exactly at ``tau``."""
+    rs = prof.ratios[algorithm]
+    return sum(1 for r in rs if r <= tau) / len(rs)
+
+
+def arc_transmit(d: int, x: int, lead: int, unit_cost: int) -> Tuple[int, int]:
+    """Time and cost of pushing d units through one arc at capacity x."""
+    if d < 1:
+        raise ValueError("demand must be >= 1")
+    if x < 0:
+        raise ValueError("capacity must be >= 0")
+    if x == 0:
+        raise ZeroCapacityError("arc capacity is 0; transmission impossible")
+    return lead + ceil_div(d, x), d * unit_cost
+
+
+def path_capacity(x: Sequence[int], path: MinimalPath) -> int:
+    """Bottleneck capacity of the path under state vector x."""
+    return min(x[i - 1] for i in path.arc_ids)
+
+
+def path_time(d: int, x: Sequence[int], path: MinimalPath):
+    """Time to send d units over one path under state x; INFEASIBLE if blocked."""
+    if d < 1:
+        raise ValueError("demand must be >= 1")
+    cap = path_capacity(x, path)
+    if cap == 0:
+        return INFEASIBLE
+    return path.lp + ceil_div(d, cap)
+
+
+def path_cost(d: int, path: MinimalPath) -> int:
+    """Cost of sending d units over the path (capacity independent)."""
+    if d < 1:
+        raise ValueError("demand must be >= 1")
+    return d * path.cp
+
+
+def best_time(d: int, x: Sequence[int], paths, budget: int):
+    """Fastest budget-affordable single-path transmission time under state x.
+
+    ``paths`` must be the complete minimal-path collection of the network
+    (anything iterable over MinimalPath). Returns INFEASIBLE when no path is
+    affordable or every affordable path has zero capacity under x.
+    """
+    items = list(paths)
+    if not items:
+        raise EmptyCatalogError("network has no source->sink path")
+    best = INFEASIBLE
+    for p in items:
+        if d * p.cp > budget:
+            continue
+        t = path_time(d, x, p)
+        if t < best:
+            best = t
+    return best
 
 
 def random_dist(rng: random.Random, max_cap: int):

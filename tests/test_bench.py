@@ -21,6 +21,8 @@ from mfnrel import (
     solve_a1,
 )
 
+from helpers import max_caps, profile_value
+
 
 def test_genconfig_arc_bounds():
     cfg = GenConfig(n=11, seed=0)
@@ -95,7 +97,7 @@ def test_fig3_fixture_matches_published_sums(fig3):
     assert [fig3.catalog[j - 1].kp_max for j in (1, 2, 4, 5)] == [4, 3, 3, 3]
     assert fig3.catalog[0].arc_ids == (1, 6)
     assert fig3.catalog[1].arc_ids == (1, 4, 7)
-    assert fig3.network.max_caps == (5, 3, 4, 3, 2, 4, 5, 3)
+    assert max_caps(fig3.network) == (5, 3, 4, 3, 2, 4, 5, 3)
 
 
 def test_pan_european_fixture_loads():
@@ -148,9 +150,9 @@ def test_profile_two_instance_example():
         {"i1": {"a1": 1.0, "a2": 2.0}, "i2": {"a1": 2.0, "a2": 1.0}}
     )
     for alg in ("a1", "a2"):
-        assert prof.value(alg, 1.0) == 0.5
-        assert prof.value(alg, 2.0) == 1.0
-        assert prof.value(alg, 1.5) == 0.5
+        assert profile_value(prof, alg, 1.0) == 0.5
+        assert profile_value(prof, alg, 2.0) == 1.0
+        assert profile_value(prof, alg, 1.5) == 0.5
     assert prof.tau_grid[0] == 1.0
     assert prof.tau_grid[-1] == pytest.approx(2.0)
     for alg in ("a1", "a2"):
@@ -163,7 +165,7 @@ def test_profile_always_fastest():
     prof = performance_profile(
         {"i1": {"a1": 1.0, "a2": 3.0}, "i2": {"a1": 2.0, "a2": 2.5}}
     )
-    assert prof.value("a1", 1.0) == 1.0
+    assert profile_value(prof, "a1", 1.0) == 1.0
 
 
 def test_profile_tie_rule():

@@ -1,4 +1,5 @@
 import random
+import time
 from importlib import resources
 
 import pytest
@@ -139,14 +140,17 @@ def test_rel_prints_twelve_decimals(capsys, fig3_file):
 
 
 def test_oracle_matches_rel(capsys, small_file):
-    code, rel_out, _ = run(capsys, "rel", small_file, "--d", 2, "--T", 6, "--b", 12)
-    assert code == 0
-    code, oracle_out, _ = run(capsys, "oracle", small_file, "--d", 2, "--T", 6, "--b", 12)
-    assert code == 0
-    r1 = float(rel_out.splitlines()[0])
-    r2 = float(oracle_out.splitlines()[0])
-    assert abs(r1 - r2) <= 1e-9
-    assert any(line.startswith("# states=") for line in oracle_out.splitlines())
+    # the second query is beyond int64, where the oracle must stay exact
+    for d, T, b in ((2, 6, 12), (10**20, 10**21, 10**22)):
+        query = ["--d", d, "--T", T, "--b", b]
+        code, rel_out, _ = run(capsys, "rel", small_file, *query)
+        assert code == 0
+        code, oracle_out, _ = run(capsys, "oracle", small_file, *query)
+        assert code == 0
+        r1 = float(rel_out.splitlines()[0])
+        r2 = float(oracle_out.splitlines()[0])
+        assert abs(r1 - r2) <= 1e-9
+        assert any(line.startswith("# states=") for line in oracle_out.splitlines())
 
 
 def test_oracle_worked_example(capsys, fig3_file):
@@ -284,13 +288,115 @@ def test_profile_missing_or_malformed_input(capsys, tmp_path):
 
 
 def test_nested_catalog_exit_code(capsys, tmp_path):
-    # a pinned catalog whose members nest breaks the solver's minimality
-    # invariant, which the CLI reports as an internal error
-    path = tmp_path / "nested.net"
-    path.write_text(
-        "nodes 3\narc 1 1 2 2 1 1\narc 2 2 3 2 1 1\narc 3 1 3 2 1 1\n"
-        "mp 1 2\nmp 1 2 3\n",
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "solve", path, "--d", 1, "--T", 9, "--b", 9)
-    assert code == 4 and "catalog" in err
+    # a pinned catalog whose paths nest or repeat is bad input, refused at
+    # parse for every command and every query, even one where only one of
+    # the two paths would emit a vector (--T 3 --b 2)
+    head = "nodes 3\narc 1 1 2 2 1 1\narc 2 2 3 2 1 1\narc 3 1 3 2 1 1\nmp 1 2\n"
+    for name, last in (("nested", "mp 1 2 3"), ("permuted", "mp 2 1")):
+        path = tmp_path / f"{name}.net"
+        path.write_text(f"{head}{last}\n", encoding="utf-8")
+        for argv in (
+            ["mps", path],
+            ["solve", path, "--d", 1, "--T", 9, "--b", 9],
+            ["solve", path, "--d", 1, "--T", 3, "--b", 2],
+            ["rel", path, "--d", 1, "--T", 9, "--b", 9],
+            ["oracle", path, "--d", 1, "--T", 9, "--b", 9],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), (name, argv)
+            assert err.startswith("error: line 6: ") and "line 5" in err, (name, argv)
+
+
+def test_huge_node_count_answers_like_small_twin(capsys, tmp_path):
+    # enumeration is keyed by the nodes that arcs touch, so a node count far
+    # beyond memory costs nothing when few nodes carry arcs
+    arcs = "sink 3\narc 1 1 2 2 1 1 0.2 0.3 0.5\narc 2 2 3 2 1 1 0.1 0.1 0.8\narc 3 1 3 1 2 1 0.4 0.6\n"
+    outputs = []
+    start = time.perf_counter()
+    for n in (3, 99999999999):
+        path = tmp_path / f"n{n}.net"
+        path.write_text(f"nodes {n}\n{arcs}", encoding="utf-8")
+        outputs.append(
+            [
+                run(capsys, *argv)
+                for argv in (
+                    ["mps", path],
+                    ["solve", path, "--d", 2, "--T", 4, "--b", 9],
+                    ["solve", path, "--d", 2, "--T", 4, "--b", 9, "--algorithm", "a2"],
+                    ["rel", path, "--d", 2, "--T", 4, "--b", 9],
+                )
+            ]
+        )
+    assert time.perf_counter() - start < 1.0
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[0]] == [0] * 4
+    assert "# sigma=2" in outputs[0][3][1]
+
+
+_FUZZ_TOKENS = (
+    "0", "1", "-1", "2", "3", "99999999999", str(10**20), "0.5", "nan", "inf", "1e309", "x", "mp", "arc", "#",
+)
+
+
+def _mutate(rng, lines):
+    kind = rng.randrange(7)
+    i = rng.randrange(len(lines))
+    fields = lines[i].split()
+    if kind == 0:  # replace a token
+        fields[rng.randrange(len(fields))] = rng.choice(_FUZZ_TOKENS + (str(rng.randint(0, 12)),))
+    elif kind == 1:  # drop a token
+        del fields[rng.randrange(len(fields))]
+    elif kind == 2:  # insert a token
+        fields.insert(rng.randint(0, len(fields)), rng.choice(_FUZZ_TOKENS))
+    elif kind == 3:  # drop the line
+        del lines[i]
+        return
+    elif kind == 4:  # repeat the line
+        lines.insert(rng.randint(0, len(lines)), lines[i])
+        return
+    elif kind == 5:  # swap two lines
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+        return
+    else:  # add an mp line over a few arc ids, maybe a reordered copy of one
+        mps = [l for l in lines if l.startswith("mp ")]
+        if mps and rng.random() < 0.5:
+            ids = rng.choice(mps).split()[1:]
+            rng.shuffle(ids)
+        else:
+            ids = [str(rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+        lines.append("mp " + " ".join(ids))
+        return
+    lines[i] = " ".join(fields)
+
+
+def test_cli_fuzz_never_exits_4(capsys, tmp_path, fig3_file):
+    # mutated instance files are bad input or answerable, never an internal
+    # error, and every refusal is one line on stderr
+    gen = generate_instance(GenConfig(n=11, seed=3))  # q = 8, so rel stays small
+    bases = [
+        (fig3_file.read_text(encoding="utf-8").splitlines(), (10, 8, 50)),
+        (write(gen.network).splitlines(), (gen.query.d, gen.query.T, gen.query.b)),
+    ]
+    rng = random.Random(20211)
+    path = tmp_path / "fuzz.net"
+    codes = []
+    for case in range(300):
+        base, query = rng.choice(bases)
+        lines = list(base)
+        for _ in range(rng.randint(1, 2)):
+            _mutate(rng, lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = []
+        for name, value in zip(("--d", "--T", "--b"), query):
+            if rng.random() < 0.1:
+                value = rng.choice((0, -1, 1, 99999999999, 10**20))
+            flags += [name, value]
+        command = "oracle" if case % 30 == 0 else rng.choice(("mps", "solve", "rel"))
+        argv = ["mps", path] if command == "mps" else [command, path, *flags]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3), (code, err, lines, argv)
+        assert err.count("\n") <= 1 and err.endswith("\n") == (code != 0), (err, argv)
+        codes.append(code)
+    # the mutations reach past parse often enough to mean something
+    assert codes.count(0) >= 30 and codes.count(2) >= 100

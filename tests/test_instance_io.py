@@ -69,6 +69,21 @@ def test_parse_errors_carry_line_numbers():
         parse("nodes 2\nsink -1\narc 1 1 2 1 1 1\n")
 
 
+_NESTED_HEAD = "nodes 3\narc 1 1 2 2 1 1\narc 2 2 3 2 1 1\narc 3 1 3 2 1 1\n"
+
+
+def test_parse_rejects_nested_catalog():
+    # a later path that contains an earlier one, lies within it, or repeats
+    # it in another order; the error names the later line and the earlier
+    for mps in ("mp 1 2\nmp 1 2 3\n", "mp 1 2 3\nmp 1 2\n", "mp 1 2\nmp 2 1\n"):
+        with pytest.raises(ParseError, match="^line 6: .* on line 5;") as exc:
+            parse(_NESTED_HEAD + mps)
+        assert exc.value.line == 6
+    # incomparable paths stay legal, as do the placeholder paths of fig3
+    assert parse(_NESTED_HEAD + "mp 1 2\nmp 3\n").catalog.q == 2
+    assert parse(_data_text("fig3_mplevel.net")).catalog.q == 9
+
+
 def test_float_repr_roundtrips():
     probs = tuple((0.2 / 9) for _ in range(9)) + (0.1, 0.7)
     text = "nodes 2\narc 1 1 2 10 5 5 " + " ".join(repr(p) for p in probs) + "\n"

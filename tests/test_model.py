@@ -4,17 +4,21 @@ import random
 import pytest
 
 from mfnrel import (
-    INFEASIBLE,
     Arc,
-    EmptyCatalogError,
     Network,
     Query,
+    path_stats,
+)
+
+from helpers import (
+    INFEASIBLE,
+    EmptyCatalogError,
     ZeroCapacityError,
     arc_transmit,
     best_time,
+    max_caps,
     path_capacity,
     path_cost,
-    path_stats,
     path_time,
 )
 
@@ -60,7 +64,7 @@ def test_path_capacity(fig3_net):
     p147 = path_stats(fig3_net, [1, 4, 7])
     assert path_capacity(X_STAR, p147) == 1
     p16 = path_stats(fig3_net, [1, 6])
-    assert path_capacity(fig3_net.max_caps, p16) == 4
+    assert path_capacity(max_caps(fig3_net), p16) == 4
     assert path_capacity((0,) * 8, p16) == 0
 
 
@@ -86,7 +90,7 @@ def test_best_time(fig3_cat):
 
 
 def test_best_time_at_full_capacity(fig3_net, fig3_cat):
-    m = fig3_net.max_caps
+    m = max_caps(fig3_net)
     expected = min(
         p.lp + math.ceil(10 / p.kp_max) for p in fig3_cat if 10 * p.cp <= 50
     )
@@ -158,7 +162,7 @@ def test_nested_paths_order_their_stats(fig3_net):
 
 def test_best_time_monotone(fig3_net, fig3_cat):
     rng = random.Random(12)
-    caps = fig3_net.max_caps
+    caps = max_caps(fig3_net)
     for _ in range(500):
         x = tuple(rng.randint(0, c) for c in caps)
         y = tuple(rng.randint(xi, c) for xi, c in zip(x, caps))

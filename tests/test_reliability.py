@@ -19,7 +19,7 @@ from mfnrel import (
     union_prob_ie,
 )
 
-from helpers import random_dist, random_query, small_random_network
+from helpers import max_caps, random_dist, random_query, small_random_network
 
 QUERY = Query(d=10, T=8, b=50)
 
@@ -27,7 +27,7 @@ QUERY = Query(d=10, T=8, b=50)
 def test_tail_table_shape(fig3_net):
     tails = TailTable.from_network(fig3_net)
     assert tails.m == 8
-    assert tuple(len(row) - 2 for row in tails.tails) == fig3_net.max_caps
+    assert tuple(len(row) - 2 for row in tails.tails) == max_caps(fig3_net)
     for a, row in zip(fig3_net.arcs, tails.tails):
         assert row[len(row) - 1] == 0.0
         assert abs(row[0] - 1.0) <= 1e-9
@@ -113,7 +113,7 @@ def test_union_empty_and_cap(fig3_net):
 def test_union_matches_independent_expansion(fig3_net):
     rng = random.Random(21)
     tails = TailTable.from_network(fig3_net)
-    caps = fig3_net.max_caps
+    caps = max_caps(fig3_net)
     for _ in range(50):
         sigma = rng.randint(1, 5)
         # each vector raises a random arc subset to one level; levels repeat

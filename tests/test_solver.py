@@ -4,19 +4,16 @@ import pytest
 
 from mfnrel import (
     Arc,
-    InvariantError,
-    MpCatalog,
     Network,
     Query,
     brute_force_reliability,
     enumerate_mps,
     min_feasible_capacity,
-    path_stats,
     solve_a1,
     solve_a2,
 )
 
-from helpers import is_real_dtb, random_query, small_random_network
+from helpers import is_real_dtb, max_caps, random_query, small_random_network
 
 QUERY = Query(d=10, T=8, b=50)
 
@@ -135,14 +132,6 @@ def test_outputs_pairwise_incomparable():
                 assert any(x > y for x, y in zip(a, b))
 
 
-def test_nested_catalog_trips_invariant(fig3_net):
-    cat = MpCatalog(
-        paths=(path_stats(fig3_net, [1, 6]), path_stats(fig3_net, [1, 4, 6]))
-    )
-    with pytest.raises(InvariantError):
-        solve_a1(fig3_net, cat, Query(d=1, T=20, b=100))
-
-
 def test_is_real_dtb_examples(fig3_net, fig3_cat):
     assert is_real_dtb(fig3_net, fig3_cat, QUERY, (3, 0, 0, 0, 0, 3, 0, 0))
     assert not is_real_dtb(fig3_net, fig3_cat, QUERY, (0,) * 8)
@@ -157,7 +146,7 @@ def test_is_real_dtb_full_capacity_with_slack():
     net = Network(n=4, arcs=arcs)
     cat = enumerate_mps(net)
     q = Query(d=2, T=5, b=9)
-    assert not is_real_dtb(net, cat, q, net.max_caps)
+    assert not is_real_dtb(net, cat, q, max_caps(net))
     assert is_real_dtb(net, cat, q, (1, 1, 1))
 
 
