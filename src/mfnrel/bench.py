@@ -269,13 +269,12 @@ def run_benchmark(items: Sequence[Tuple[str, Network, MpCatalog, Query]]) -> Lis
 class ProfileData:
     """Per-algorithm time ratios and their cumulative distribution.
 
-    ``ratios[alg][i]`` is the time of ``alg`` on instance i divided by the
-    best time on that instance (ties give 1 to every winner). ``curves``
-    samples each distribution on ``tau_grid``.
+    ``ratios[alg][i]`` is the time of ``alg`` on the i-th instance, by
+    sorted name, divided by the best time on that instance (ties give 1 to
+    every winner). ``curves`` samples each distribution on ``tau_grid``.
     """
 
     algorithms: Tuple[str, ...]
-    instances: Tuple[str, ...]
     ratios: Mapping[str, Tuple[float, ...]]
     tau_grid: Tuple[float, ...]
     curves: Mapping[str, Tuple[float, ...]]
@@ -321,7 +320,6 @@ def performance_profile(times: Mapping[str, Mapping[str, float]]) -> ProfileData
     }
     return ProfileData(
         algorithms=algorithms,
-        instances=instances,
         ratios={alg: tuple(rs) for alg, rs in ratios.items()},
         tau_grid=grid,
         curves=curves,

@@ -187,8 +187,12 @@ def cmd_bench(args) -> int:
         raise ParseError(f"no .net files under {args.dir}")
     records: List[BenchRecord] = []
     for f in files:
-        net, cat = _load(f)
-        records.extend(run_benchmark([(f.name, net, cat, derive_query(cat))]))
+        try:
+            net, cat = _load(f)
+            query = derive_query(cat)
+        except ValueError as exc:
+            raise ParseError(f"{f}: {exc}") from exc
+        records.extend(run_benchmark([(f.name, net, cat, query)]))
     lines = ["instance,algorithm,seconds,sigma,k,q"]
     for r in records:
         lines.append(f"{r.instance},{r.algorithm},{r.seconds:.9f},{r.sigma},{r.k},{r.q}")

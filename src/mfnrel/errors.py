@@ -2,7 +2,16 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured hard cap (path count, state space, union terms) was hit."""
+    """A fixed cap on an exponential step was hit. ``cap_name`` names the
+    module constant, ``limit`` is its value and ``requested`` what the input
+    needs: the paths found so far, sigma, or the state count."""
+
+    def __init__(self, cap_name: str, limit: int, requested: int):
+        super().__init__(cap_name, limit, requested)  # so a pickled copy rebuilds
+        self.cap_name, self.limit, self.requested = cap_name, limit, requested
+
+    def __str__(self) -> str:
+        return f"fixed cap {self.cap_name} = {self.limit} exceeded: this input needs at least {self.requested}"
 
 
 class GenerationError(RuntimeError):

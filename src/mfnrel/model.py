@@ -122,20 +122,14 @@ class MinimalPath:
     """An arc-id set forming a source->sink path, with cached per-path sums.
 
     ``lp`` is the total lead time, ``cp`` the total per-unit cost, and
-    ``kp_max`` the path capacity when every arc sits at its maximum.
+    ``kp_max`` the path capacity when every arc sits at its maximum. Build
+    one with ``path_stats``, which sorts and checks the arc ids.
     """
 
     arc_ids: Tuple[int, ...]
     lp: int
     cp: int
     kp_max: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "arc_ids", tuple(self.arc_ids))
-        if not self.arc_ids:
-            raise ValueError("a path needs at least one arc")
-        if any(b <= a for a, b in zip(self.arc_ids, self.arc_ids[1:])):
-            raise ValueError(f"arc ids must be strictly increasing, got {self.arc_ids}")
 
 
 @dataclass(frozen=True)

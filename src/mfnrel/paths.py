@@ -14,7 +14,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 from .errors import ResourceLimitError
 from .model import Arc, MinimalPath, Network, path_stats
 
-DEFAULT_MP_CAP = 100_000
+#: Most minimal paths one enumeration may return; read at call time.
+MP_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,6 @@ class MpCatalog:
     """Ordered, immutable collection of minimal paths."""
 
     paths: Tuple[MinimalPath, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
 
     @property
     def q(self) -> int:
@@ -40,12 +38,12 @@ class MpCatalog:
         return self.paths[idx]
 
 
-def enumerate_mps(net: Network, cap: int = DEFAULT_MP_CAP) -> MpCatalog:
+def enumerate_mps(net: Network) -> MpCatalog:
     """All minimal paths source->sink, depth-first by ascending arc id.
 
     The order is deterministic: children are explored in increasing arc-id
     order, so the catalog is sorted lexicographically by arc-id sequence.
-    Raises ResourceLimitError when more than ``cap`` paths exist. A network
+    Raises ResourceLimitError when more than ``MP_CAP`` paths exist. A network
     with no source->sink path yields an empty catalog.
     """
     # Keyed by the nodes that arcs touch, so the cost is O(m) whatever n is.
@@ -69,10 +67,8 @@ def enumerate_mps(net: Network, cap: int = DEFAULT_MP_CAP) -> MpCatalog:
     while frames:
         for a in frames[-1]:
             if a.head == net.sink:
-                if len(found) >= cap:
-                    raise ResourceLimitError(
-                        f"more than {cap} minimal paths; raise the cap to continue"
-                    )
+                if len(found) >= MP_CAP:
+                    raise ResourceLimitError("MP_CAP", MP_CAP, len(found) + 1)
                 found.append(path_stats(net, arc_stack + [a.id]))
             elif a.head not in on_path and a.head in can_reach:
                 on_path.add(a.head)

@@ -26,8 +26,10 @@ from .model import Network, Query, StateVector
 from .paths import MpCatalog
 from .solver import SolutionSet, solve_a1
 
-DEFAULT_SIGMA_CAP = 30
-DEFAULT_STATE_CAP = 5_000_000
+#: Most vectors the union evaluates (2^SIGMA_CAP - 1 terms) and most states
+#: the oracle enumerates; both are read at call time.
+SIGMA_CAP = 30
+STATE_CAP = 5_000_000
 _ORACLE_CHUNK = 1 << 18
 
 
@@ -55,15 +57,13 @@ class TailTable:
         return len(self.tails)
 
 
-def union_prob_ie(
-    tails: TailTable, vectors: Sequence[StateVector], cap: int = DEFAULT_SIGMA_CAP
-) -> float:
+def union_prob_ie(tails: TailTable, vectors: Sequence[StateVector]) -> float:
     """Exact union probability of the upsets of the given vectors.
 
     Each vector raises one arc set to one level, as a minimal vector raises
     one path to its alpha; two distinct nonzero levels are refused. Terms are
     summed in a fixed order with Kahan compensation, so the result is
-    reproducible bit for bit. More than ``cap`` vectors is refused.
+    reproducible bit for bit. More than ``SIGMA_CAP`` vectors is refused.
     """
     reqs = []  # (level, [(arc bit, tail / full mass)]) per vector
     for v in vectors:
@@ -84,10 +84,8 @@ def union_prob_ie(
         if len(set(v) - {0}) > 1:
             raise ValueError(f"vector raises arcs to levels {sorted(set(v) - {0})}, not to one")
         reqs.append((max(v, default=0), factors))
-    if len(reqs) > cap:
-        raise ResourceLimitError(
-            f"{len(reqs)} vectors would need 2^{len(reqs)}-1 union terms; cap is {cap}"
-        )
+    if len(reqs) > SIGMA_CAP:
+        raise ResourceLimitError("SIGMA_CAP", SIGMA_CAP, len(reqs))
     # a term is base x tail/full mass on the arcs it raises, as a distribution
     # sums to 1 only within 1e-9. By falling level, a vector joining a term
     # finds the arcs the term raises at least as high: only new ones count.
@@ -114,9 +112,7 @@ def union_prob_ie(
     return min(max(total, 0.0), 1.0)
 
 
-def brute_force_reliability(
-    net: Network, cat: MpCatalog, query: Query, cap: int = DEFAULT_STATE_CAP
-) -> Tuple[float, List[StateVector]]:
+def brute_force_reliability(net: Network, cat: MpCatalog, query: Query) -> Tuple[float, List[StateVector]]:
     """Exhaustive oracle: enumerate every state X <= M.
 
     Returns the summed probability of the feasible states and the minimal
@@ -125,8 +121,8 @@ def brute_force_reliability(
     slowest, so the minimal vectors come out in a deterministic order.
     """
     total_states = net.state_space_size
-    if total_states > cap:
-        raise ResourceLimitError(f"{total_states} states exceed the cap of {cap}")
+    if total_states > STATE_CAP:
+        raise ResourceLimitError("STATE_CAP", STATE_CAP, total_states)
     for a in net.arcs:
         if a.dist is None:
             raise ValueError(f"arc {a.id} has no capacity distribution")

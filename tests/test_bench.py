@@ -4,12 +4,12 @@ import random
 import pytest
 
 import mfnrel.bench as bench
+import mfnrel.paths as paths
 from mfnrel import (
     BenchmarkMismatchError,
     GenConfig,
     GenerationError,
     Query,
-    ResourceLimitError,
     capacity_distribution,
     demand_grid,
     derive_query,
@@ -189,10 +189,7 @@ def test_profile_input_validation():
 
 def test_generation_failure(monkeypatch):
     # a path count over the cap makes every draw unusable
-    def over_cap(net):
-        raise ResourceLimitError("more than 0 minimal paths")
-
-    monkeypatch.setattr(bench, "enumerate_mps", over_cap)
+    monkeypatch.setattr(paths, "MP_CAP", 0)
     monkeypatch.setattr(bench, "MAX_REJECTS", 10)
     with pytest.raises(GenerationError, match="10 consecutive unusable"):
         generate_instance(GenConfig(n=11, seed=5))

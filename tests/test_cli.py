@@ -1,11 +1,22 @@
+import dataclasses
 import random
 import time
 from importlib import resources
 
 import pytest
 
-from mfnrel import Arc, GenConfig, Network, generate_instance, parse_file, write
+from mfnrel import (
+    Arc,
+    GenConfig,
+    Network,
+    capacity_distribution,
+    generate_instance,
+    pan_european_fixture,
+    parse_file,
+    write,
+)
 import mfnrel.cli as cli
+import mfnrel.paths as paths
 from mfnrel.cli import main
 
 from helpers import random_dist
@@ -175,6 +186,14 @@ def test_rel_requires_probabilities(capsys, tmp_path):
     code, out, err = run(capsys, "rel", str(pan), "--d", 13, "--T", 80, "--b", 1595)
     assert code == 2 and out == ""
     assert err == "error: arc 1 has no capacity distribution: its arc line has no probability block\n"
+    # with a distribution on every arc the same query reaches the cap
+    net = pan_european_fixture()
+    arcs = tuple(dataclasses.replace(a, dist=capacity_distribution(a.max_cap)) for a in net.arcs)
+    pan_file = tmp_path / "pan.net"
+    pan_file.write_text(write(dataclasses.replace(net, arcs=arcs)), encoding="utf-8")
+    code, out, err = run(capsys, "rel", pan_file, "--d", 13, "--T", 80, "--b", 1595)
+    assert (code, out) == (3, "")
+    assert err == "error: fixed cap SIGMA_CAP = 30 exceeded: this input needs at least 32\n"
 
 
 def test_rel_rejects_nan_probabilities(capsys, tmp_path):
@@ -209,9 +228,19 @@ def test_parse_error_exit_code(capsys, tmp_path):
 
 def test_oracle_resource_cap(capsys):
     pan = resources.files("mfnrel").joinpath("data/pan_european.net")
-    code, _, err = run(capsys, "oracle", str(pan), "--d", 5, "--T", 50, "--b", 500)
-    assert code == 3
-    assert "states" in err
+    code, out, err = run(capsys, "oracle", str(pan), "--d", 5, "--T", 50, "--b", 500)
+    assert (code, out) == (3, "")
+    states = pan_european_fixture().state_space_size
+    assert err == f"error: fixed cap STATE_CAP = 5000000 exceeded: this input needs at least {states}\n"
+
+
+def test_mps_path_cap(capsys, monkeypatch):
+    # the backbone has 76 minimal paths; enumeration stops at the 11th
+    pan = resources.files("mfnrel").joinpath("data/pan_european.net")
+    monkeypatch.setattr(paths, "MP_CAP", 10)
+    code, out, err = run(capsys, "mps", str(pan))
+    assert (code, out) == (3, "")
+    assert err == "error: fixed cap MP_CAP = 10 exceeded: this input needs at least 11\n"
 
 
 def test_gen_roundtrip(capsys, tmp_path):
@@ -256,6 +285,15 @@ def test_bench_and_profile_pipeline(capsys, tmp_path):
 def test_bench_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "--dir", tmp_path)
     assert code == 2 and "no .net files" in err
+    # a bad file in the directory is named in the error
+    bad = tmp_path / "bad.net"
+    for text, reason in (
+        ("nodes 2\narc 1 1 2 1 1 1 1.0\n", "line 2: arc 1: expected 2 probabilities, got 1"),
+        ("nodes 3\narc 1 1 2 1 1 1\n", "cannot derive a query from an empty catalog"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "bench", "--dir", tmp_path)
+        assert (code, out, err) == (2, "", f"error: {bad}: {reason}\n")
 
 
 def test_usage_error_exit_code(capsys, fig3_file):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import mfnrel.paths as paths
 from mfnrel import Arc, Network, ResourceLimitError, enumerate_mps
 
 from helpers import arc_subset_connects, node_sequence_paths, small_random_network
@@ -75,7 +76,7 @@ def test_paths_are_minimal():
                 assert not arc_subset_connects(net, subset)
 
 
-def test_cap_aborts_enumeration():
+def test_cap_aborts_enumeration(monkeypatch):
     # complete forward DAG on 8 nodes has far more than 5 paths
     arcs = []
     n = 8
@@ -85,8 +86,11 @@ def test_cap_aborts_enumeration():
             arcs.append(Arc(id=aid, tail=t, head=h, max_cap=1, lead=1, unit_cost=1))
             aid += 1
     net = Network(n=n, arcs=tuple(arcs))
-    with pytest.raises(ResourceLimitError):
-        enumerate_mps(net, cap=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(paths, "MP_CAP", 5)
+        with pytest.raises(ResourceLimitError) as exc:
+            enumerate_mps(net)
+    assert (exc.value.cap_name, exc.value.limit, exc.value.requested) == ("MP_CAP", 5, 6)
     assert enumerate_mps(net).q == 64  # 2^(n-2) simple forward paths
 
 

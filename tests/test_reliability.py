@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -36,7 +37,7 @@ def test_tail_table_shape(fig3_net):
             assert abs((row[v] - row[v + 1]) - a.dist[v]) <= 1e-12
 
 
-def test_tail_table_needs_distributions(fig3_net, fig3_cat):
+def test_tail_table_needs_distributions(monkeypatch, fig3_net, fig3_cat):
     # only the arcs a vector raises need a distribution; (3,0,0,0,0,3,0,0)
     # raises arcs 1 and 6
     def with_dists(dists):
@@ -54,9 +55,11 @@ def test_tail_table_needs_distributions(fig3_net, fig3_cat):
     assert tails.tails[1] is None
     raises_arc_2 = (0, 1, 0, 0, 0, 0, 0, 0)
     # bad input is reported before the term cap is checked
+    rel = importlib.import_module("mfnrel.reliability")  # the package rebinds the name
     for cap in (30, 1):
+        monkeypatch.setattr(rel, "SIGMA_CAP", cap)
         with pytest.raises(ValueError, match="arc 2 has no capacity distribution: its arc line"):
-            union_prob_ie(tails, [raises_arc_2, (3, 0, 0, 0, 0, 3, 0, 0)], cap=cap)
+            union_prob_ie(tails, [raises_arc_2, (3, 0, 0, 0, 0, 3, 0, 0)])
 
 
 def test_union_keeps_full_mass_of_untouched_arcs(fig3_net, fig3_cat):
@@ -102,12 +105,16 @@ def test_union_duplicate_vectors_collapse(fig3_net):
     assert abs(union_prob_ie(tails, [v, v]) - union_prob_ie(tails, [v])) <= 1e-12
 
 
-def test_union_empty_and_cap(fig3_net):
+def test_union_empty_and_cap(monkeypatch, fig3_net):
     tails = TailTable.from_network(fig3_net)
     assert union_prob_ie(tails, []) == 0.0
     vecs = [(1, 0, 0, 0, 0, 0, 0, 0)] * 5
-    with pytest.raises(ResourceLimitError, match="cap is 4"):
-        union_prob_ie(tails, vecs, cap=4)
+    monkeypatch.setattr(importlib.import_module("mfnrel.reliability"), "SIGMA_CAP", 4)
+    assert union_prob_ie(tails, vecs[:4]) > 0.0  # at the cap is still answered
+    with pytest.raises(ResourceLimitError) as exc:
+        union_prob_ie(tails, vecs)
+    assert str(exc.value) == "fixed cap SIGMA_CAP = 4 exceeded: this input needs at least 5"
+    assert str(pickle.loads(pickle.dumps(exc.value))) == str(exc.value)
 
 
 def test_union_matches_independent_expansion(fig3_net):
@@ -153,9 +160,11 @@ def test_brute_force_on_worked_example(fig3_net, fig3_cat):
     assert minimal == [(3, 0, 0, 0, 0, 3, 0, 0)]
 
 
-def test_brute_force_state_cap(fig3_net, fig3_cat):
-    with pytest.raises(ResourceLimitError):
-        brute_force_reliability(fig3_net, fig3_cat, QUERY, cap=1000)
+def test_brute_force_state_cap(monkeypatch, fig3_net, fig3_cat):
+    monkeypatch.setattr(importlib.import_module("mfnrel.reliability"), "STATE_CAP", 1000)
+    with pytest.raises(ResourceLimitError) as exc:
+        brute_force_reliability(fig3_net, fig3_cat, QUERY)
+    assert (exc.value.cap_name, exc.value.limit, exc.value.requested) == ("STATE_CAP", 1000, 172800)
 
 
 def test_brute_force_hopeless_budget(fig3_net, fig3_cat):
