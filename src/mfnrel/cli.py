@@ -192,6 +192,9 @@ def cmd_bench(args) -> int:
             query = derive_query(cat)
         except ValueError as exc:
             raise ParseError(f"{f}: {exc}") from exc
+        except ResourceLimitError as exc:
+            print(f"error: {f}: {exc}", file=sys.stderr)
+            return 3
         records.extend(run_benchmark([(f.name, net, cat, query)]))
     lines = ["instance,algorithm,seconds,sigma,k,q"]
     for r in records:

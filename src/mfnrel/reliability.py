@@ -6,10 +6,11 @@ probabilities (arc capacities are independent), and the union is evaluated
 exactly by inclusion-exclusion: intersecting upsets means taking the
 componentwise maximum of their base vectors.
 
-``brute_force_reliability`` is the independent cross-check: it enumerates the
-whole state space, sums the probability of every feasible state, and extracts
-the minimal feasible vectors directly. It exists to verify the solver/IE
-route and is deliberately kept free of any shared logic with it.
+``brute_force_reliability`` is the independent cross-check: in one pass over
+the whole state space it sums the probability of every feasible state and
+extracts the minimal feasible vectors directly. It holds one byte per state
+plus one chunk, and ``STATE_CAP`` bounds the state count. It exists to verify
+the solver/IE route and is deliberately kept free of any shared logic with it.
 """
 
 from __future__ import annotations
@@ -142,15 +143,13 @@ def brute_force_reliability(net: Network, cat: MpCatalog, query: Query) -> Tuple
         for p in affordable
     ]
 
-    def caps_block(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi, dtype=np.int64)
-        return (idx[None, :] // strides[:, None]) % sizes[:, None]
-
     feasible = np.zeros(total_states, dtype=bool)
     prob_sum = 0.0
+    minimal: List[StateVector] = []
     for lo in range(0, total_states, _ORACLE_CHUNK):
         hi = min(lo + _ORACLE_CHUNK, total_states)
-        caps = caps_block(lo, hi)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        caps = (idx[None, :] // strides[:, None]) % sizes[:, None]
         ok = np.zeros(hi - lo, dtype=bool)
         for p, path_meets in zip(affordable, meets):
             pc = caps[p.arc_ids[0] - 1]
@@ -158,21 +157,17 @@ def brute_force_reliability(net: Network, cat: MpCatalog, query: Query) -> Tuple
                 pc = np.minimum(pc, caps[i - 1])
             ok |= path_meets[pc]
         feasible[lo:hi] = ok
-        if ok.any():
-            prob = np.ones(hi - lo)
-            for i in range(m):
-                prob *= dists[i][caps[i]]
-            prob_sum += float(prob[ok].sum())
-
-    minimal: List[StateVector] = []
-    ok_idx = np.nonzero(feasible)[0]
-    for lo in range(0, ok_idx.size, _ORACLE_CHUNK):
-        block = ok_idx[lo : lo + _ORACLE_CHUNK]
-        caps = (block[None, :] // strides[:, None]) % sizes[:, None]
-        is_min = np.ones(block.size, dtype=bool)
+        if not ok.any():
+            continue
+        prob = np.ones(hi - lo)
         for i in range(m):
-            pos = caps[i] > 0
-            is_min[pos] &= ~feasible[block[pos] - strides[i]]
+            prob *= dists[i][caps[i]]
+        prob_sum += float(prob[ok].sum())
+        # a one-step decrement has a smaller index, so it is already classified
+        is_min = ok.copy()
+        for i in range(m):
+            pos = ok & (caps[i] > 0)
+            is_min[pos] &= ~feasible[idx[pos] - strides[i]]
         for col in np.nonzero(is_min)[0]:
             minimal.append(tuple(int(caps[i, col]) for i in range(m)))
     return prob_sum, minimal

@@ -234,13 +234,19 @@ def test_oracle_resource_cap(capsys):
     assert err == f"error: fixed cap STATE_CAP = 5000000 exceeded: this input needs at least {states}\n"
 
 
-def test_mps_path_cap(capsys, monkeypatch):
+def test_mps_path_cap(capsys, monkeypatch, tmp_path):
     # the backbone has 76 minimal paths; enumeration stops at the 11th
     pan = resources.files("mfnrel").joinpath("data/pan_european.net")
     monkeypatch.setattr(paths, "MP_CAP", 10)
     code, out, err = run(capsys, "mps", str(pan))
     assert (code, out) == (3, "")
     assert err == "error: fixed cap MP_CAP = 10 exceeded: this input needs at least 11\n"
+    # bench --dir names the file that tripped the cap
+    copy = tmp_path / "pan_european.net"
+    copy.write_text(pan.read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, err = run(capsys, "bench", "--dir", tmp_path)
+    assert (code, out) == (3, "")
+    assert err == f"error: {copy}: fixed cap MP_CAP = 10 exceeded: this input needs at least 11\n"
 
 
 def test_gen_roundtrip(capsys, tmp_path):
@@ -323,6 +329,13 @@ def test_profile_missing_or_malformed_input(capsys, tmp_path):
     short.write_text("instance,algorithm,seconds\ni1,a1,0.5\ni1,a2,1.0\ni1,a1,2.0\n", encoding="utf-8")
     code, out, err = run(capsys, "profile", "--times", short)
     assert code == 2 and out == "" and "line 4" in err and "repeated" in err and "short.csv" in err
+    short.write_text("instance,algorithm,seconds\n", encoding="utf-8")
+    code, out, err = run(capsys, "profile", "--times", short)
+    assert (code, out) == (2, "") and "no timing rows" in err
+    # a row whose instance cell starts with # is skipped, even a short one
+    short.write_text("instance,algorithm,seconds\n# suite 0\ni1,a1,0.5\ni1,a2,1.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "profile", "--times", short)
+    assert (code, err) == (0, "") and out.startswith("algorithm,tau,pr\n")
 
 
 def test_nested_catalog_exit_code(capsys, tmp_path):

@@ -191,6 +191,13 @@ def test_arc_validation():
         Arc(id=1, tail=1, head=2, max_cap=1, lead=1, unit_cost=1, dist=(0.7, 0.7))
     with pytest.raises(ValueError):
         Arc(id=1, tail=1, head=2, max_cap=1, lead=1, unit_cost=1, dist=(math.nan, math.nan))
+    for bad, reason in (
+        ({"id": 0}, "arc id must be >= 1, got 0"),
+        ({"max_cap": -1}, "arc 1: max_cap must be >= 0"),
+        ({"unit_cost": 0}, "arc 1: unit cost must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            Arc(**{**dict(id=1, tail=1, head=2, max_cap=1, lead=1, unit_cost=1), **bad})
 
 
 def test_network_validation():
@@ -203,5 +210,7 @@ def test_network_validation():
         Network(n=2, arcs=(a1,), source=1, sink=1)
     with pytest.raises(ValueError):
         Network(n=2, arcs=(a1,), sink=-1)
+    with pytest.raises(ValueError, match="^arc 1: node 3 outside 1..2$"):
+        Network(n=2, arcs=(Arc(id=1, tail=1, head=3, max_cap=1, lead=1, unit_cost=1),))
     net = Network(n=2, arcs=(a1,))
     assert net.sink == 2 and net.m == 1 and net.state_space_size == 2

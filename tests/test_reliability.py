@@ -177,6 +177,30 @@ def test_brute_force_no_paths():
     net = Network(n=3, arcs=arcs)
     value, minimal = brute_force_reliability(net, enumerate_mps(net), Query(d=1, T=5, b=5))
     assert value == 0.0 and minimal == []
+    # the oracle needs a distribution on every arc, raised or not
+    bare = Network(n=3, arcs=arcs + (Arc(id=2, tail=1, head=2, max_cap=1, lead=1, unit_cost=1),))
+    with pytest.raises(ValueError, match="^arc 2 has no capacity distribution$"):
+        brute_force_reliability(bare, enumerate_mps(bare), Query(d=1, T=5, b=5))
+
+
+def test_brute_force_across_chunk_boundaries(monkeypatch, fig3_net, fig3_cat):
+    # with small chunks a state's one-step decrements lie in earlier chunks;
+    # the value may move in the last bits, as each chunk is summed on its own
+    rel = importlib.import_module("mfnrel.reliability")  # the package rebinds the name
+    rng = random.Random(31)
+    cases = [(fig3_net, fig3_cat, q, 997) for q in (QUERY, Query(d=9, T=13, b=100))]
+    for _ in range(30):
+        net = small_random_network(rng)
+        cat = enumerate_mps(net)
+        cases.append((net, cat, random_query(rng, cat), 7))
+    for net, cat, q, chunk in cases:
+        value, minimal = brute_force_reliability(net, cat, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(rel, "_ORACLE_CHUNK", chunk)
+            small_value, small_minimal = brute_force_reliability(net, cat, q)
+        assert small_minimal == minimal
+        assert abs(small_value - value) <= 1e-12
+    assert len(brute_force_reliability(fig3_net, fig3_cat, Query(d=9, T=13, b=100))[1]) == 9
 
 
 def test_reliability_worked_example(fig3_net, fig3_cat):
