@@ -3,12 +3,7 @@ time and budget limits, plus the benchmarking lab around it."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BenchmarkMismatchError,
-    GenerationError,
-    ParseError,
-    ResourceLimitError,
-)
+from .errors import ParseError, ResourceLimitError
 from .model import (
     Arc,
     MinimalPath,
@@ -45,10 +40,8 @@ __all__ = [
     "__version__",
     "Arc",
     "BenchRecord",
-    "BenchmarkMismatchError",
     "GenConfig",
     "GeneratedInstance",
-    "GenerationError",
     "MinimalPath",
     "MpCatalog",
     "Network",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import BenchmarkMismatchError, GenerationError, ResourceLimitError
+from .errors import ResourceLimitError
 from .instance_io import ParsedInstance, parse
 from .model import Arc, Network, Query, ceil_div
 from .paths import MpCatalog, enumerate_mps
@@ -178,9 +178,7 @@ def generate_instance(cfg: GenConfig) -> GeneratedInstance:
             )
         rejects += 1
         if rejects >= MAX_REJECTS:
-            raise GenerationError(
-                f"{MAX_REJECTS} consecutive unusable networks for n={cfg.n}, seed={cfg.seed}"
-            )
+            raise ResourceLimitError("MAX_REJECTS", MAX_REJECTS, MAX_REJECTS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def run_benchmark(items: Sequence[Tuple[str, Network, MpCatalog, Query]]) -> Lis
         warm: Dict[str, SolutionSet] = {alg: fn(net, cat, query) for alg, fn in _SOLVERS.items()}
         a1_set, a2_set = warm["a1"].vector_set(), warm["a2"].vector_set()
         if a1_set != a2_set:
-            raise BenchmarkMismatchError(
+            raise RuntimeError(
                 f"instance {name}: a1 and a2 disagree ({len(a1_set)} vs {len(a2_set)} vectors)"
             )
         for alg, fn in _SOLVERS.items():

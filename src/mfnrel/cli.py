@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage, parse or file problems, 3 a configured
-resource cap was hit, 4 any unexpected error (reported on one line, without
-a traceback).
+Exit codes: 0 success, 2 usage, parse or file problems, 3 a fixed cap was
+hit, 4 any unexpected error (reported on one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .bench import (
     performance_profile,
     run_benchmark,
 )
-from .errors import GenerationError, ParseError, ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 from .instance_io import parse_file, write_file
 from .model import Query
 from .paths import enumerate_mps
@@ -38,7 +37,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimitError, GenerationError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

@@ -2,9 +2,9 @@
 
 
 class ResourceLimitError(RuntimeError):
-    """A fixed cap on an exponential step was hit. ``cap_name`` names the
-    module constant, ``limit`` is its value and ``requested`` what the input
-    needs: the paths found so far, sigma, or the state count."""
+    """A fixed cap was hit. ``cap_name`` names the module constant, ``limit``
+    is its value and ``requested`` what the input needs: the paths found so
+    far, sigma, the state count, or the draws."""
 
     def __init__(self, cap_name: str, limit: int, requested: int):
         super().__init__(cap_name, limit, requested)  # so a pickled copy rebuilds
@@ -12,14 +12,6 @@ class ResourceLimitError(RuntimeError):
 
     def __str__(self) -> str:
         return f"fixed cap {self.cap_name} = {self.limit} exceeded: this input needs at least {self.requested}"
-
-
-class GenerationError(RuntimeError):
-    """Random instance generation kept producing unusable networks."""
-
-
-class BenchmarkMismatchError(RuntimeError):
-    """Two algorithms disagreed on an instance; timings would be meaningless."""
 
 
 class ParseError(ValueError):

@@ -111,11 +111,6 @@ class Network:
             size *= a.max_cap + 1
         return size
 
-    def arc(self, arc_id: int) -> Arc:
-        if not 1 <= arc_id <= self.m:
-            raise IndexError(f"arc id {arc_id} outside 1..{self.m}")
-        return self.arcs[arc_id - 1]
-
 
 @dataclass(frozen=True)
 class MinimalPath:
@@ -153,7 +148,10 @@ def path_stats(net: Network, arc_ids: Iterable[int]) -> MinimalPath:
         raise ValueError("empty arc set")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate arc ids in {ids}")
-    arcs = [net.arc(i) for i in ids]
+    for i in ids:
+        if not 1 <= i <= net.m:
+            raise IndexError(f"arc id {i} outside 1..{net.m}")
+    arcs = [net.arcs[i - 1] for i in ids]
     return MinimalPath(
         arc_ids=tuple(ids),
         lp=sum(a.lead for a in arcs),

@@ -6,10 +6,9 @@ import pytest
 import mfnrel.bench as bench
 import mfnrel.paths as paths
 from mfnrel import (
-    BenchmarkMismatchError,
     GenConfig,
-    GenerationError,
     Query,
+    ResourceLimitError,
     capacity_distribution,
     demand_grid,
     derive_query,
@@ -141,7 +140,7 @@ def test_run_benchmark_gate_aborts_on_disagreement(monkeypatch):
         return sol
 
     monkeypatch.setitem(bench._SOLVERS, "a2", broken)
-    with pytest.raises(BenchmarkMismatchError):
+    with pytest.raises(RuntimeError, match="a1 and a2 disagree"):
         run_benchmark(_items(1))
 
 
@@ -191,5 +190,6 @@ def test_generation_failure(monkeypatch):
     # a path count over the cap makes every draw unusable
     monkeypatch.setattr(paths, "MP_CAP", 0)
     monkeypatch.setattr(bench, "MAX_REJECTS", 10)
-    with pytest.raises(GenerationError, match="10 consecutive unusable"):
+    with pytest.raises(ResourceLimitError) as exc:
         generate_instance(GenConfig(n=11, seed=5))
+    assert (exc.value.cap_name, exc.value.limit, exc.value.requested) == ("MAX_REJECTS", 10, 11)

@@ -15,6 +15,7 @@ from mfnrel import (
     parse_file,
     write,
 )
+import mfnrel.bench as bench
 import mfnrel.cli as cli
 import mfnrel.paths as paths
 from mfnrel.cli import main
@@ -247,6 +248,14 @@ def test_mps_path_cap(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "bench", "--dir", tmp_path)
     assert (code, out) == (3, "")
     assert err == f"error: {copy}: fixed cap MP_CAP = 10 exceeded: this input needs at least 11\n"
+    # with every draw unusable, gen gives up at MAX_REJECTS and writes nothing
+    monkeypatch.setattr(paths, "MP_CAP", 0)
+    monkeypatch.setattr(bench, "MAX_REJECTS", 10)
+    gen_path = tmp_path / "gen.net"
+    code, out, err = run(capsys, "gen", "--n", 12, "--seed", 7, "--out", gen_path)
+    assert (code, out) == (3, "")
+    assert err == "error: fixed cap MAX_REJECTS = 10 exceeded: this input needs at least 11\n"
+    assert not gen_path.exists()
 
 
 def test_gen_roundtrip(capsys, tmp_path):

@@ -54,6 +54,11 @@ def test_path_stats_sorts_and_validates(fig3_net):
     assert path_stats(fig3_net, [7, 1, 4]).arc_ids == (1, 4, 7)
     with pytest.raises(IndexError):
         path_stats(fig3_net, [1, 9])
+    # the first out-of-range id in sorted order is the one named
+    with pytest.raises(IndexError, match=r"^arc id 9 outside 1\.\.8$"):
+        path_stats(fig3_net, [12, 1, 9])
+    with pytest.raises(IndexError, match=r"^arc id 0 outside 1\.\.8$"):
+        path_stats(fig3_net, [0, 3])
     with pytest.raises(ValueError):
         path_stats(fig3_net, [])
     with pytest.raises(ValueError):
